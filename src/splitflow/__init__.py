@@ -17,7 +17,7 @@ from .data import (ConditionVector, DegradationParams, ToyDataset, degrade,
 from .refine import (Discriminator, FeatureNet, LossWeights, Stage2Config,
                      Stage2Trainer, WeightSchedule, gan_discriminator_loss,
                      gan_generator_loss, reconstruction_loss, regularizer_loss,
-                     stage2_train_step, vsd_gradient)
+                     vsd_gradient)
 from .metrics import (MetricReport, feature_distance, gradient_magnitudes,
                       metric_stability, psnr, seed_diversity,
                       sliced_wasserstein)

@@ -182,12 +182,13 @@ class Tensor:
     # ---- nonlinearities ----------------------------------------------------
 
     def sigmoid(self):
+        # e = exp(-|v|) never overflows; s is 1/(1+e) where v >= 0 and
+        # e/(1+e) elsewhere, and since e <= 1 the numerator is max(e, v >= 0).
+        # Mask-free whole-array ops: boolean gathers, scatters and np.where
+        # cost several times the arithmetic.
         v = self.values
-        s = np.empty_like(v)
-        pos = v >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        s[~pos] = ev / (1.0 + ev)
+        e = np.exp(-np.abs(v))
+        s = np.maximum(e, v >= 0) / (1.0 + e)
         out = Tensor(s, _parents=(self,))
 
         def backward(grad):

@@ -1,7 +1,7 @@
 """Binary checkpoint format.
 
 Layout: magic "SMF1", format version (u32 LE), length-prefixed UTF-8 JSON
-metadata (model kind, layer sizes, iteration, config fingerprint), then the
+metadata (the model's `spec()`, iteration, config fingerprint), then the
 parameter payload as 32-bit little-endian floats in declared order.
 save -> load -> save round-trips byte-identically.
 """
@@ -18,69 +18,20 @@ from .refine import Discriminator
 MAGIC = b"SMF1"
 VERSION = 1
 
+MODEL_KINDS = {cls.kind: cls for cls in (TeacherModel, StudentModel, Discriminator)}
+
 
 class CheckpointFormatError(ValueError):
     pass
 
 
-def _model_spec(model):
-    kind = getattr(model, "kind", None)
-    if kind == "teacher":
-        spec = {"kind": kind, "state_dim": model.state_dim, "cond_dim": model.cond_dim,
-                "time_embed_dim": model.time_embed_dim,
-                "layer_sizes": model.net.layer_sizes}
-    elif kind == "student":
-        spec = {"kind": kind, "state_dim": model.state_dim, "cond_dim": model.cond_dim,
-                "time_embed_dim": model.time_embed_dim,
-                "layer_sizes": model.net.layer_sizes}
-    elif kind == "discriminator":
-        spec = {"kind": kind, "in_dim": model.in_dim, "pool_from": model.pool_from,
-                "pool_to": model.pool_to, "layer_sizes": model.net.layer_sizes}
-    else:
-        raise ValueError(f"cannot checkpoint model of kind {kind!r}")
-    return spec
-
-
-def _build_model(spec):
-    kind = spec["kind"]
-    if kind == "teacher":
-        model = TeacherModel.__new__(TeacherModel)
-        model.state_dim = spec["state_dim"]
-        model.cond_dim = spec["cond_dim"]
-        model.time_embed_dim = spec["time_embed_dim"]
-        model.net = _empty_mlp(spec["layer_sizes"])
-        return model
-    if kind == "student":
-        model = StudentModel.__new__(StudentModel)
-        model.state_dim = spec["state_dim"]
-        model.cond_dim = spec["cond_dim"]
-        model.time_embed_dim = spec["time_embed_dim"]
-        model.net = _empty_mlp(spec["layer_sizes"])
-        d = model.time_embed_dim
-        from .autodiff import Tensor
-        model.proj_r = Tensor(np.zeros((d, d), dtype=np.float32))
-        model.proj_t = Tensor(np.zeros((d, d), dtype=np.float32))
-        return model
-    if kind == "discriminator":
-        model = Discriminator.__new__(Discriminator)
-        model.in_dim = spec["in_dim"]
-        model.pool_from = spec["pool_from"]
-        model.pool_to = spec["pool_to"]
-        model.net = _empty_mlp(spec["layer_sizes"])
-        return model
-    raise CheckpointFormatError(f"unknown model kind {kind!r}")
-
-
-def _empty_mlp(layer_sizes):
-    from .nn import Mlp
-    return Mlp(layer_sizes, rng=np.random.default_rng(0))
-
-
 def save_checkpoint(model, meta, path):
     """Write model parameters plus metadata; `meta` is merged into the header."""
-    spec = _model_spec(model)
+    kind = getattr(model, "kind", None)
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"cannot checkpoint model of kind {kind!r}")
     header = dict(meta or {})
-    header.update(spec)
+    header.update(model.spec())
     params = [p.values.astype("<f4") for _, p in model.named_parameters()]
     header["param_count"] = int(sum(p.size for p in params))
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -96,7 +47,8 @@ def save_checkpoint(model, meta, path):
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, metadata dict).
 
-    Parameter-count consistency is checked against the file size before any
+    The header must name a known model kind and carry its `spec()` keys;
+    parameter-count consistency is checked against the file size before any
     parameter array is populated.
     """
     with open(path, "rb") as fh:
@@ -109,8 +61,14 @@ def load_checkpoint(path):
     (meta_len,) = struct.unpack("<I", data[8:12])
     if len(data) < 12 + meta_len:
         raise CheckpointFormatError("truncated checkpoint metadata")
-    meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
-    model = _build_model(meta)
+    try:
+        meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
+        model = MODEL_KINDS[meta["kind"]].from_spec(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers undecodable UTF-8 and JSON as well as sizes the
+        # model constructors reject.
+        raise CheckpointFormatError(
+            f"malformed checkpoint header in {path}: {exc!r}") from exc
     expected = sum(p.values.size for _, p in model.named_parameters())
     if meta.get("param_count") != expected:
         raise CheckpointFormatError(

@@ -10,16 +10,13 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import ExperimentConfig, load_config
 from .data import make_rng
-from .distill import (StudentModel, isc_residual, multi_step_sample,
-                      one_step_sample, sample_interval, isc_residual_scan,
-                      Interval)
-from .pipeline import emit_report, run_pipeline
+from .distill import (isc_residual, multi_step_sample, one_step_sample,
+                      isc_residual_scan, Interval)
+from .pipeline import STAGES, emit_report, run_pipeline
 
 STAGE_FOR_COMMAND = {
-    "train-teacher": ["teacher"],
-    "distill": ["distill"],
-    "refine": ["refine"],
-    "eval": ["eval"],
+    **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
+    "pipeline": list(STAGES),
 }
 
 
@@ -47,12 +44,8 @@ def build_parser():
         description="Desk-scale one-step generative distillation laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command in ("train-teacher", "distill", "refine", "eval"):
-        p = sub.add_parser(command)
-        _add_common(p)
-
-    p = sub.add_parser("pipeline", help="run all stages in order")
-    _add_common(p)
+    for command, stages in STAGE_FOR_COMMAND.items():
+        _add_common(sub.add_parser(command, help="run " + " -> ".join(stages)))
 
     p = sub.add_parser("sample", help="draw one-step samples from a student checkpoint")
     _add_common(p)
@@ -147,18 +140,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command in STAGE_FOR_COMMAND:
         return cmd_stage(args, STAGE_FOR_COMMAND[args.command])
-    if args.command == "pipeline":
-        return cmd_stage(args, list(run_stages()))
     if args.command == "sample":
         return cmd_sample(args)
     if args.command == "diagnose-isc":
         return cmd_diagnose(args)
     parser.error(f"unknown command {args.command}")
-
-
-def run_stages():
-    from .pipeline import STAGES
-    return STAGES
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, stop_gradient
-from .flow import TeacherModel, _condition_array, cfg_velocity, time_embedding
-from .nn import AdamW, Mlp
+from .flow import (ConditionedModel, _condition_array, cfg_velocity,
+                   time_embedding)
+from .nn import AdamW, fit
 
 
 @dataclass
@@ -61,39 +62,29 @@ class Stage1Config:
             raise ValueError("branch_probability must lie in [0, 1]")
 
 
-class StudentModel:
+class StudentModel(ConditionedModel):
     """Average-velocity network conditioned on an interval (r, t).
 
     The two timestep embeddings pass through separate learned linear
     projections and are summed into one fused embedding before entering the
-    trunk. When initialized from a teacher, the t-projection starts at the
-    identity and the r-projection at zero, so the student reproduces the
-    teacher's velocity for every (r, t) at initialization.
+    trunk. The t-projection starts at the identity and the r-projection at
+    zero, so a student initialized from a teacher reproduces the teacher's
+    velocity for every (r, t).
     """
 
     kind = "student"
 
     def __init__(self, state_dim, cond_dim, hidden_sizes=(128, 128),
                  time_embed_dim=16, rng=None):
-        self.state_dim = state_dim
-        self.cond_dim = cond_dim
-        self.time_embed_dim = time_embed_dim
-        in_dim = state_dim + time_embed_dim + cond_dim
-        self.net = Mlp([in_dim, *hidden_sizes, state_dim], rng=rng)
+        super().__init__(state_dim, cond_dim, hidden_sizes, time_embed_dim, rng)
         d = time_embed_dim
         self.proj_r = Tensor(np.zeros((d, d), dtype=np.float32))
         self.proj_t = Tensor(np.eye(d, dtype=np.float32))
 
     @classmethod
     def from_teacher(cls, teacher):
-        student = cls.__new__(cls)
-        student.state_dim = teacher.state_dim
-        student.cond_dim = teacher.cond_dim
-        student.time_embed_dim = teacher.time_embed_dim
+        student = cls.from_spec(teacher.spec())
         student.net = teacher.net.copy()
-        d = teacher.time_embed_dim
-        student.proj_r = Tensor(np.zeros((d, d), dtype=np.float32))
-        student.proj_t = Tensor(np.eye(d, dtype=np.float32))
         return student
 
     def average_velocity(self, z, r, t, cond, detach_params=False):
@@ -113,9 +104,6 @@ class StudentModel:
         return self.net.forward(inp, detach_params=detach_params)
 
     __call__ = average_velocity
-
-    def parameters(self):
-        return [self.proj_r, self.proj_t] + self.net.parameters()
 
     def named_parameters(self):
         return [("proj_r", self.proj_r), ("proj_t", self.proj_t)] + self.net.named_parameters()
@@ -213,22 +201,19 @@ def train_student(teacher, x_data, cond_data, config, student=None):
     """
     x_data = np.asarray(x_data, dtype=np.float32)
     cond_data = np.asarray(cond_data, dtype=np.float32)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
     if student is None:
         student = StudentModel.from_teacher(teacher)
     opt = AdamW(student.named_parameters(), learning_rate=config.learning_rate,
                 weight_decay=config.weight_decay)
-    records = []
-    for it in range(config.iterations):
-        idx = rng.integers(0, x_data.shape[0], size=config.batch_size)
-        cond = cond_data[idx].copy()
-        if config.condition_dropout > 0.0:
-            drop = rng.random(config.batch_size) < config.condition_dropout
-            cond[drop] = 0.0
-        value, branch = stage1_train_step(student, teacher, x_data[idx], cond,
-                                          config, rng, opt)
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            records.append({"iteration": it, "loss": value, "branch": branch})
+
+    def step(x, cond, rng):
+        value, branch = stage1_train_step(student, teacher, x, cond, config, rng, opt)
+        return {"loss": value, "branch": branch}
+
+    records = fit("distill", step, x_data, cond_data,
+                  iterations=config.iterations, batch_size=config.batch_size,
+                  seed=config.seed, condition_dropout=config.condition_dropout,
+                  log_every=config.log_every)
     return student, records
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .nn import AdamW, Mlp
+from .nn import AdamW, Mlp, fit
 
 
 def time_embedding(t, dim, dtype=np.float32):
@@ -65,10 +65,9 @@ class SamplerConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-class TeacherModel:
-    """Velocity network over concatenated (state, time embedding, condition)."""
-
-    kind = "teacher"
+class ConditionedModel:
+    """An MLP over concatenated (state, time embedding, condition); the shape
+    the teacher and the student share, described by `spec()`."""
 
     def __init__(self, state_dim, cond_dim, hidden_sizes=(128, 128),
                  time_embed_dim=16, rng=None):
@@ -77,6 +76,31 @@ class TeacherModel:
         self.time_embed_dim = time_embed_dim
         in_dim = state_dim + time_embed_dim + cond_dim
         self.net = Mlp([in_dim, *hidden_sizes, state_dim], rng=rng)
+
+    def spec(self):
+        """The architecture, as stored in a checkpoint header."""
+        return {"kind": self.kind, "state_dim": self.state_dim,
+                "cond_dim": self.cond_dim, "time_embed_dim": self.time_embed_dim,
+                "layer_sizes": self.net.layer_sizes}
+
+    @classmethod
+    def from_spec(cls, spec):
+        """A model of the architecture `spec` describes; weights to be loaded."""
+        return cls(spec["state_dim"], spec["cond_dim"],
+                   hidden_sizes=spec["layer_sizes"][1:-1],
+                   time_embed_dim=spec["time_embed_dim"])
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
+
+    def named_parameters(self):
+        return self.net.named_parameters()
+
+
+class TeacherModel(ConditionedModel):
+    """Velocity network over concatenated (state, time embedding, condition)."""
+
+    kind = "teacher"
 
     def velocity(self, z, t, cond, detach_params=False):
         if not isinstance(z, Tensor):
@@ -89,12 +113,6 @@ class TeacherModel:
         return self.net.forward(inp, detach_params=detach_params)
 
     __call__ = velocity
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def named_parameters(self):
-        return self.net.named_parameters()
 
     def copy(self):
         clone = TeacherModel.__new__(type(self))
@@ -199,7 +217,6 @@ def train_teacher(x_data, cond_data, config, model=None):
     cond_data = np.asarray(cond_data, dtype=np.float32)
     if x_data.shape[0] == 0:
         raise ValueError("training dataset is empty")
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
     if model is None:
         model = TeacherModel(x_data.shape[1], cond_data.shape[1],
                              hidden_sizes=tuple(config.hidden_sizes),
@@ -207,22 +224,21 @@ def train_teacher(x_data, cond_data, config, model=None):
                              rng=np.random.Generator(np.random.Philox(key=config.seed + 1)))
     opt = AdamW(model.named_parameters(), learning_rate=config.learning_rate,
                 weight_decay=config.weight_decay)
-    records = []
-    for it in range(config.iterations):
-        idx = rng.integers(0, x_data.shape[0], size=config.batch_size)
-        x = x_data[idx]
-        cond = cond_data[idx].copy()
-        drop = rng.random(config.batch_size) < config.condition_dropout
-        cond[drop] = 0.0
+
+    def step(x, cond, rng):
         eps = rng.standard_normal(x.shape).astype(np.float32)
-        t = rng.random(config.batch_size)
+        t = rng.random(x.shape[0])
         loss = fm_loss(model, x, eps, t, cond)
         value = float(loss.values)
         if not np.isfinite(value):
-            raise FloatingPointError(f"teacher training diverged at iteration {it}")
+            raise FloatingPointError("non-finite flow-matching loss")
         opt.zero_grad()
         loss.backward()
         opt.step()
-        if it % config.log_every == 0 or it == config.iterations - 1:
-            records.append({"iteration": it, "loss": value})
+        return {"loss": value}
+
+    records = fit("teacher", step, x_data, cond_data,
+                  iterations=config.iterations, batch_size=config.batch_size,
+                  seed=config.seed, condition_dropout=config.condition_dropout,
+                  log_every=config.log_every)
     return model, records

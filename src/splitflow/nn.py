@@ -1,40 +1,33 @@
-"""Feed-forward networks and a decoupled-weight-decay adaptive optimizer."""
+"""Feed-forward networks, a decoupled-weight-decay adaptive optimizer, and
+the minibatch loop every training stage runs."""
 
 import numpy as np
 
 from .autodiff import Tensor, stop_gradient
-
-ACTIVATIONS = {
-    "silu": lambda x: x.silu(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "relu": lambda x: x.relu(),
-}
+from .data import make_rng
 
 
 class Mlp:
-    """Dense network: linear layers with a smooth nonlinearity between them.
+    """Dense float32 network: linear layers with SiLU between them.
 
     `layer_sizes` lists [in, hidden..., out]; the final layer is linear.
     Weights use fan-in-scaled uniform initialization from the given seeded rng,
     biases start at zero.
     """
 
-    def __init__(self, layer_sizes, activation="silu", rng=None, dtype=np.float32):
+    def __init__(self, layer_sizes, rng=None):
         if len(layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least an input and an output size")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         self.layer_sizes = list(layer_sizes)
-        self.activation = activation
         if rng is None:
             rng = np.random.default_rng(0)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
             self.weights.append(Tensor(w))
-            self.biases.append(Tensor(np.zeros(fan_out, dtype=dtype)))
+            self.biases.append(Tensor(np.zeros(fan_out, dtype=np.float32)))
 
     def forward(self, x, detach_params=False):
         if not isinstance(x, Tensor):
@@ -44,7 +37,6 @@ class Mlp:
                 f"layer 0 expects input size {self.layer_sizes[0]}, "
                 f"got {x.values.shape[-1]}"
             )
-        act = ACTIVATIONS[self.activation]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -52,7 +44,7 @@ class Mlp:
                 w, b = stop_gradient(w), stop_gradient(b)
             h = h @ w + b
             if i != last:
-                h = act(h)
+                h = h.silu()
         return h
 
     __call__ = forward
@@ -76,7 +68,6 @@ class Mlp:
     def copy(self):
         clone = Mlp.__new__(Mlp)
         clone.layer_sizes = list(self.layer_sizes)
-        clone.activation = self.activation
         clone.weights = [Tensor(w.values.copy()) for w in self.weights]
         clone.biases = [Tensor(b.values.copy()) for b in self.biases]
         return clone
@@ -113,16 +104,54 @@ class AdamW:
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+            # In place through two scratch arrays, but the same operations in
+            # the same order as `p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`,
+            # so every result is bit-identical to that form.
+            t = np.multiply(g, 1.0 - b1)
             m *= b1
-            m += (1.0 - b1) * g
+            m += t
+            np.square(g, out=t)
+            t *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * np.square(g)
+            v += t
             if self.weight_decay:
                 p.values -= (self.learning_rate * self.weight_decay) * p.values
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.divide(m, bias1, out=t)
+            t *= self.learning_rate
+            u = np.divide(v, bias2)
+            np.sqrt(u, out=u)
+            u += self.epsilon
+            t /= u
+            p.values -= t
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def fit(stage, step, x_data, cond_data, *, iterations, batch_size, seed,
+        condition_dropout=0.0, log_every=100):
+    """Minibatch training loop shared by every stage; returns the logged records.
+
+    Each iteration draws batch indices from a Philox generator keyed by
+    `seed`, zeroes each condition row with probability `condition_dropout`
+    (drawing only when it is positive), and calls
+    `step(x_batch, cond_batch, rng) -> dict`. Every `log_every`-th iteration
+    and the last one are logged as `{"iteration": it, **record}`. A
+    `FloatingPointError` from `step` is re-raised naming the stage and the
+    iteration.
+    """
+    rng = make_rng(seed)
+    records = []
+    for it in range(iterations):
+        idx = rng.integers(0, x_data.shape[0], size=batch_size)
+        cond = cond_data[idx]
+        if condition_dropout > 0.0:
+            cond[rng.random(batch_size) < condition_dropout] = 0.0
+        try:
+            record = step(x_data[idx], cond, rng)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{stage} iteration {it}: {exc}") from exc
+        if it % log_every == 0 or it == iterations - 1:
+            records.append({"iteration": it, **record})
+    return records

@@ -2,28 +2,20 @@
 checkpoint persistence, CSV reports, and optional SVG loss plots."""
 
 import os
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import stage_seed
 from .data import generate_dataset, DegradationParams, make_rng
-from .distill import Stage1Config, StudentModel, one_step_sample, train_student
+from .distill import Stage1Config, one_step_sample, train_student
 from .flow import TeacherTrainConfig, train_teacher
 from .metrics import (feature_distance, metric_stability, psnr,
                       sliced_wasserstein)
 from .refine import (Discriminator, FeatureNet, LossWeights, Stage2Config,
                      Stage2Trainer)
-
-STAGES = ("teacher", "distill", "refine", "eval")
-
-ARTIFACTS = {
-    "teacher": ("teacher.ckpt", "losses_teacher.csv"),
-    "distill": ("student_stage1.ckpt", "losses_stage1.csv"),
-    "refine": ("student_stage2.ckpt", "regularizer.ckpt", "discriminator.ckpt",
-               "losses_stage2.csv"),
-    "eval": ("metrics.csv", "metrics_summary.csv"),
-}
 
 
 class PipelineError(RuntimeError):
@@ -92,8 +84,137 @@ def _eval_data(config):
     return ds.flat_x(), ds.cond_array()
 
 
-def _hidden_sizes(config):
-    return tuple([config.model_hidden] * config.model_layers)
+def _run_teacher(config):
+    x, cond = _train_data(config)
+    tc = TeacherTrainConfig(
+        iterations=config.teacher_iterations,
+        batch_size=config.teacher_batch_size,
+        learning_rate=config.teacher_lr,
+        weight_decay=config.teacher_weight_decay,
+        condition_dropout=config.teacher_condition_dropout,
+        hidden_sizes=tuple([config.model_hidden] * config.model_layers),
+        time_embed_dim=config.model_time_embed_dim,
+        seed=stage_seed(config.seed, "teacher"))
+    teacher, records = train_teacher(x, cond, tc)
+    return {"teacher.ckpt": (teacher, {"iteration": tc.iterations}),
+            "losses_teacher.csv": (records, ["iteration", "loss"])}
+
+
+def _run_distill(config, teacher):
+    x, cond = _train_data(config)
+    sc = Stage1Config(
+        branch_probability=config.stage1_branch_probability,
+        guidance_scale=config.stage1_guidance_scale,
+        iterations=config.stage1_iterations,
+        batch_size=config.stage1_batch_size,
+        learning_rate=config.stage1_lr,
+        full_interval_probability=config.stage1_full_interval_probability,
+        condition_dropout=config.stage1_condition_dropout,
+        seed=stage_seed(config.seed, "distill"))
+    student, records = train_student(teacher, x, cond, sc)
+    return {"student_stage1.ckpt": (student, {"iteration": sc.iterations}),
+            "losses_stage1.csv": (records, ["iteration", "loss", "branch"])}
+
+
+def _run_refine(config, teacher, student):
+    x, cond = _train_data(config)
+    state_dim = x.shape[1]
+    disc = Discriminator(
+        state_dim, rng=make_rng(stage_seed(config.seed, "discriminator")),
+        pool_from=16 if config.dataset_name == "tiny-patches" else None)
+    regularizer = teacher.copy()
+    s2 = Stage2Config(
+        weights=LossWeights(config.stage2_lambda1, config.stage2_lambda2,
+                            config.stage2_lambda3, config.stage2_lambda4),
+        iterations=config.stage2_iterations,
+        batch_size=config.stage2_batch_size,
+        learning_rate=config.stage2_lr,
+        regularizer_lr=config.stage2_regularizer_lr,
+        discriminator_lr=config.stage2_discriminator_lr,
+        branch_probability=config.stage1_branch_probability,
+        full_interval_probability=config.stage1_full_interval_probability,
+        vsd_t_min=config.stage2_vsd_t_min,
+        vsd_t_max=config.stage2_vsd_t_max,
+        schedule=config.stage2_schedule,
+        seed=stage_seed(config.seed, "refine"))
+    trainer = Stage2Trainer(student, teacher, regularizer, disc, s2,
+                            feature_net=FeatureNet(state_dim))
+    records = trainer.train(x, cond)
+    return {"student_stage2.ckpt": (student, {"iteration": s2.iterations}),
+            "regularizer.ckpt": (regularizer, {"role": "regularizer"}),
+            "discriminator.ckpt": (disc, {}),
+            "losses_stage2.csv": (records, ["iteration", "isc", "rec", "adv_g",
+                                            "vsd_grad_norm", "reg_diff", "adv_d"])}
+
+
+def _run_eval(config, student):
+    report = evaluate_student(student, config)
+    return {"metrics.csv": (report.rows(), ["metric", "seed", "value"]),
+            "metrics_summary.csv": (report.summary_rows(), ["metric", "mean", "std"])}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
+
+    `needs` holds one tuple per input checkpoint: the candidate file names,
+    the first one present being loaded. `run(config, *inputs)` returns, for
+    each name in `outputs`, a `(model, header)` pair for a checkpoint or a
+    `(records, columns)` pair for a CSV. `plot` is the loss column drawn to
+    an SVG next to the stage's CSV when `emit_svg` is set.
+
+    The `run` functions look the training functions up as module globals at
+    call time, so a caller that rebinds them (a tracer, a test) sees them.
+    """
+    name: str
+    needs: tuple
+    outputs: tuple
+    run: Callable
+    plot: str | None = None
+
+
+STAGE_TABLE = (
+    Stage("teacher", (), ("teacher.ckpt", "losses_teacher.csv"),
+          _run_teacher, plot="loss"),
+    Stage("distill", (("teacher.ckpt",),),
+          ("student_stage1.ckpt", "losses_stage1.csv"),
+          _run_distill, plot="loss"),
+    Stage("refine", (("teacher.ckpt",), ("student_stage1.ckpt",)),
+          ("student_stage2.ckpt", "regularizer.ckpt", "discriminator.ckpt",
+           "losses_stage2.csv"),
+          _run_refine, plot="rec"),
+    Stage("eval", (("student_stage2.ckpt", "student_stage1.ckpt"),),
+          ("metrics.csv", "metrics_summary.csv"), _run_eval),
+)
+
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+
+ARTIFACTS = {stage.name: stage.outputs for stage in STAGE_TABLE}
+
+
+def _load_input(config, candidates):
+    for name in candidates:
+        path = os.path.join(config.output_dir, name)
+        if os.path.exists(path):
+            return load_checkpoint(path)[0]
+    producer = next(stage.name for stage in STAGE_TABLE if name in stage.outputs)
+    raise PipelineError(f"missing input checkpoint {name!r}; "
+                        f"run the {producer!r} stage first")
+
+
+def _write_outputs(config, stage, outputs):
+    """Write every output of `stage`; checkpoint headers gain the config
+    fingerprint."""
+    fingerprint = config.fingerprint()
+    for name in stage.outputs:
+        value, extra = outputs[name]
+        path = os.path.join(config.output_dir, name)
+        if name.endswith(".ckpt"):
+            save_checkpoint(value, {**extra, "config_fingerprint": fingerprint}, path)
+            continue
+        emit_report(value, path, columns=extra)
+        if stage.plot and config.emit_svg:
+            emit_svg_plot(value, "iteration", stage.plot, path[:-len(".csv")] + ".svg")
 
 
 def run_pipeline(config, stages, force=False):
@@ -108,130 +229,14 @@ def run_pipeline(config, stages, force=False):
         raise PipelineError(f"unknown stages {sorted(unknown)}")
     os.makedirs(config.output_dir, exist_ok=True)
     produced = []
-
-    def path(name):
-        return os.path.join(config.output_dir, name)
-
-    def done(stage):
-        return all(os.path.exists(path(a)) for a in ARTIFACTS[stage])
-
-    def require(ckpt, prior):
-        if not os.path.exists(path(ckpt)):
-            raise PipelineError(
-                f"missing input checkpoint {ckpt!r}; run the {prior!r} stage first")
-
-    fingerprint = config.fingerprint()
-
-    for stage in STAGES:
-        if stage not in stages:
+    for stage in STAGE_TABLE:
+        if stage.name not in stages:
             continue
-        if done(stage) and not force:
-            produced.extend(path(a) for a in ARTIFACTS[stage])
-            continue
-        if stage == "teacher":
-            x, cond = _train_data(config)
-            tc = TeacherTrainConfig(
-                iterations=config.teacher_iterations,
-                batch_size=config.teacher_batch_size,
-                learning_rate=config.teacher_lr,
-                weight_decay=config.teacher_weight_decay,
-                condition_dropout=config.teacher_condition_dropout,
-                hidden_sizes=_hidden_sizes(config),
-                time_embed_dim=config.model_time_embed_dim,
-                seed=stage_seed(config.seed, "teacher"))
-            teacher, records = train_teacher(x, cond, tc)
-            save_checkpoint(teacher, {"iteration": config.teacher_iterations,
-                                      "config_fingerprint": fingerprint},
-                            path("teacher.ckpt"))
-            emit_report(records, path("losses_teacher.csv"),
-                        columns=["iteration", "loss"])
-            if config.emit_svg:
-                emit_svg_plot(records, "iteration", "loss", path("losses_teacher.svg"))
-        elif stage == "distill":
-            require("teacher.ckpt", "teacher")
-            teacher, _ = load_checkpoint(path("teacher.ckpt"))
-            x, cond = _train_data(config)
-            sc = Stage1Config(
-                branch_probability=config.stage1_branch_probability,
-                guidance_scale=config.stage1_guidance_scale,
-                iterations=config.stage1_iterations,
-                batch_size=config.stage1_batch_size,
-                learning_rate=config.stage1_lr,
-                full_interval_probability=config.stage1_full_interval_probability,
-                condition_dropout=config.stage1_condition_dropout,
-                seed=stage_seed(config.seed, "distill"))
-            student, records = train_student(teacher, x, cond, sc)
-            save_checkpoint(student, {"iteration": config.stage1_iterations,
-                                      "config_fingerprint": fingerprint},
-                            path("student_stage1.ckpt"))
-            emit_report(records, path("losses_stage1.csv"),
-                        columns=["iteration", "loss", "branch"])
-            if config.emit_svg:
-                emit_svg_plot(records, "iteration", "loss", path("losses_stage1.svg"))
-        elif stage == "refine":
-            require("teacher.ckpt", "teacher")
-            require("student_stage1.ckpt", "distill")
-            teacher, _ = load_checkpoint(path("teacher.ckpt"))
-            student, _ = load_checkpoint(path("student_stage1.ckpt"))
-            x, cond = _train_data(config)
-            state_dim = x.shape[1]
-            is_patches = config.dataset_name == "tiny-patches"
-            rng = np.random.Generator(
-                np.random.Philox(key=stage_seed(config.seed, "refine")))
-            disc = Discriminator(
-                state_dim,
-                rng=np.random.Generator(
-                    np.random.Philox(key=stage_seed(config.seed, "discriminator"))),
-                pool_from=16 if is_patches else None)
-            feature_net = FeatureNet(state_dim)
-            regularizer = teacher.copy()
-            s2 = Stage2Config(
-                weights=LossWeights(config.stage2_lambda1, config.stage2_lambda2,
-                                    config.stage2_lambda3, config.stage2_lambda4),
-                iterations=config.stage2_iterations,
-                batch_size=config.stage2_batch_size,
-                learning_rate=config.stage2_lr,
-                regularizer_lr=config.stage2_regularizer_lr,
-                discriminator_lr=config.stage2_discriminator_lr,
-                branch_probability=config.stage1_branch_probability,
-                full_interval_probability=config.stage1_full_interval_probability,
-                vsd_t_min=config.stage2_vsd_t_min,
-                vsd_t_max=config.stage2_vsd_t_max,
-                schedule=config.stage2_schedule,
-                seed=stage_seed(config.seed, "refine"))
-            trainer = Stage2Trainer(student, teacher, regularizer, disc, s2,
-                                    feature_net=feature_net)
-            records = []
-            for it in range(s2.iterations):
-                idx = rng.integers(0, x.shape[0], size=s2.batch_size)
-                breakdown = trainer.step(x[idx], cond[idx], rng)
-                if it % s2.log_every == 0 or it == s2.iterations - 1:
-                    records.append({"iteration": it, **breakdown})
-            save_checkpoint(student, {"iteration": s2.iterations,
-                                      "config_fingerprint": fingerprint},
-                            path("student_stage2.ckpt"))
-            save_checkpoint(regularizer, {"role": "regularizer",
-                                          "config_fingerprint": fingerprint},
-                            path("regularizer.ckpt"))
-            save_checkpoint(disc, {"config_fingerprint": fingerprint},
-                            path("discriminator.ckpt"))
-            emit_report(records, path("losses_stage2.csv"),
-                        columns=["iteration", "isc", "rec", "adv_g",
-                                 "vsd_grad_norm", "reg_diff", "adv_d"])
-            if config.emit_svg:
-                emit_svg_plot(records, "iteration", "rec", path("losses_stage2.svg"))
-        elif stage == "eval":
-            ckpt = "student_stage2.ckpt"
-            if not os.path.exists(path(ckpt)):
-                ckpt = "student_stage1.ckpt"
-            require(ckpt, "distill")
-            student, _ = load_checkpoint(path(ckpt))
-            report = evaluate_student(student, config)
-            emit_report(report.rows(), path("metrics.csv"),
-                        columns=["metric", "seed", "value"])
-            emit_report(report.summary_rows(), path("metrics_summary.csv"),
-                        columns=["metric", "mean", "std"])
-        produced.extend(path(a) for a in ARTIFACTS[stage])
+        paths = [os.path.join(config.output_dir, name) for name in stage.outputs]
+        if force or not all(os.path.exists(path) for path in paths):
+            inputs = [_load_input(config, candidates) for candidates in stage.needs]
+            _write_outputs(config, stage, stage.run(config, *inputs))
+        produced.extend(paths)
     return produced
 
 

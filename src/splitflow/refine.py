@@ -8,7 +8,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward_multi, stop_gradient
 from .distill import isc_loss, boundary_loss, sample_interval
-from .nn import AdamW, Mlp
+from .nn import AdamW, Mlp, fit
 
 # Frozen feature network seed; published so the perceptual distance is
 # reproducible everywhere.
@@ -98,6 +98,17 @@ class Discriminator:
         return self.net.forward(x, detach_params=detach_params)
 
     __call__ = score
+
+    def spec(self):
+        """The architecture, as stored in a checkpoint header."""
+        return {"kind": self.kind, "in_dim": self.in_dim, "pool_from": self.pool_from,
+                "pool_to": self.pool_to, "layer_sizes": self.net.layer_sizes}
+
+    @classmethod
+    def from_spec(cls, spec):
+        """A discriminator of the architecture `spec` describes; weights to be loaded."""
+        return cls(spec["in_dim"], hidden=spec["layer_sizes"][1],
+                   pool_from=spec["pool_from"], pool_to=spec["pool_to"])
 
     def parameters(self):
         return self.net.parameters()
@@ -227,91 +238,91 @@ class Stage2Trainer:
                               learning_rate=config.discriminator_lr)
 
     def step(self, x_batch, cond_batch, rng):
-        return stage2_train_step(
-            self.student, self.teacher, self.regularizer, self.disc,
-            x_batch, cond_batch, self.config, rng,
-            self.opt_student, self.opt_reg, self.opt_disc,
-            feature_net=self.feature_net, schedule=self.schedule)
+        """One alternating refinement step; returns the component-loss breakdown.
 
+        (a) student: weighted splitting/boundary + reconstruction + generator
+            hinge as a scalar loss, with the score-distillation gradient
+            injected directly into the generated latent's backward seed;
+        (b) regularizer: diffusion objective on detached student samples;
+        (c) discriminator: hinge loss on real vs detached fake batches.
+        """
+        config = self.config
+        student, teacher, disc = self.student, self.teacher, self.disc
+        weights = config.weights
+        x = np.asarray(x_batch, dtype=np.float32)
+        cond = np.asarray(cond_batch, dtype=np.float32)
+        n = x.shape[0]
 
-def stage2_train_step(student, teacher, regularizer, disc, x_batch, cond_batch,
-                      config, rng, opt_student, opt_reg, opt_disc,
-                      feature_net=None, schedule=None):
-    """One alternating refinement step; returns the component-loss breakdown.
+        # --- student sub-step ---------------------------------------------
+        eps_gen = rng.standard_normal(x.shape).astype(np.float32)
+        u_full = student.average_velocity(eps_gen, 0.0, 1.0, cond)
+        z_hat = Tensor(eps_gen) - u_full
 
-    (a) student: weighted splitting/boundary + reconstruction + generator
-        hinge as a scalar loss, with the score-distillation gradient injected
-        directly into the generated latent's backward seed;
-    (b) regularizer: diffusion objective on detached student samples;
-    (c) discriminator: hinge loss on real vs detached fake batches.
-    """
-    if schedule is None:
-        schedule = WeightSchedule(config.schedule)
-    weights = config.weights
-    x = np.asarray(x_batch, dtype=np.float32)
-    cond = np.asarray(cond_batch, dtype=np.float32)
-    n = x.shape[0]
+        interval = sample_interval(rng, config.full_interval_probability)
+        q = rng.random()
+        eps_isc = rng.standard_normal(x.shape).astype(np.float32)
+        if q < config.branch_probability:
+            t_isc = interval.t
+            z_t = (1.0 - t_isc) * x + t_isc * eps_isc
+            l_isc = isc_loss(student, z_t, interval, cond)
+        else:
+            t_b = rng.random()
+            z_t = (1.0 - t_b) * x + t_b * eps_isc
+            l_isc = boundary_loss(student, teacher, z_t, t_b, cond)
 
-    # --- student sub-step -------------------------------------------------
-    eps_gen = rng.standard_normal(x.shape).astype(np.float32)
-    u_full = student.average_velocity(eps_gen, 0.0, 1.0, cond)
-    z_hat = Tensor(eps_gen) - u_full
-
-    interval = sample_interval(rng, config.full_interval_probability)
-    q = rng.random()
-    eps_isc = rng.standard_normal(x.shape).astype(np.float32)
-    if q < config.branch_probability:
-        t_isc = interval.t
-        z_t = (1.0 - t_isc) * x + t_isc * eps_isc
-        l_isc = isc_loss(student, z_t, interval, cond)
-    else:
-        t_b = rng.random()
-        z_t = (1.0 - t_b) * x + t_b * eps_isc
-        l_isc = boundary_loss(student, teacher, z_t, t_b, cond)
-
-    l_rec = reconstruction_loss(z_hat, x, feature_net)
-    l_gen = gan_generator_loss(disc, z_hat)
-    vsd_grad, t_vsd = vsd_gradient(z_hat, teacher, regularizer, cond, schedule,
-                                   rng, t_bounds=(config.vsd_t_min, config.vsd_t_max),
+        l_rec = reconstruction_loss(z_hat, x, self.feature_net)
+        l_gen = gan_generator_loss(disc, z_hat)
+        vsd_grad, _ = vsd_gradient(z_hat, teacher, self.regularizer, cond,
+                                   self.schedule, rng,
+                                   t_bounds=(config.vsd_t_min, config.vsd_t_max),
                                    guidance_scale=config.vsd_guidance_scale)
 
-    breakdown = {
-        "isc": float(l_isc.values),
-        "rec": float(l_rec.values),
-        "adv_g": float(l_gen.values),
-        "vsd_grad_norm": float(np.linalg.norm(vsd_grad) / np.sqrt(n)),
-    }
-    for name in ("isc", "rec", "adv_g", "vsd_grad_norm"):
-        if not np.isfinite(breakdown[name]):
-            raise FloatingPointError(f"non-finite loss component {name!r}")
+        breakdown = {
+            "isc": float(l_isc.values),
+            "rec": float(l_rec.values),
+            "adv_g": float(l_gen.values),
+            "vsd_grad_norm": float(np.linalg.norm(vsd_grad) / np.sqrt(n)),
+        }
+        for name in ("isc", "rec", "adv_g", "vsd_grad_norm"):
+            if not np.isfinite(breakdown[name]):
+                raise FloatingPointError(f"non-finite loss component {name!r}")
 
-    scalar = l_isc * weights.lambda1 + l_rec * weights.lambda2 + l_gen * weights.lambda4
-    opt_student.zero_grad()
-    seeds = [(scalar, np.ones_like(scalar.values))]
-    if weights.lambda3 != 0.0:
-        seeds.append((z_hat, (weights.lambda3 / n) * vsd_grad))
-    backward_multi(seeds)
-    opt_student.step()
-    opt_student.zero_grad()
+        scalar = (l_isc * weights.lambda1 + l_rec * weights.lambda2
+                  + l_gen * weights.lambda4)
+        self.opt_student.zero_grad()
+        seeds = [(scalar, np.ones_like(scalar.values))]
+        if weights.lambda3 != 0.0:
+            seeds.append((z_hat, (weights.lambda3 / n) * vsd_grad))
+        backward_multi(seeds)
+        self.opt_student.step()
+        self.opt_student.zero_grad()
 
-    # --- regularizer sub-step ----------------------------------------------
-    l_reg = regularizer_loss(regularizer, z_hat.values, cond, rng)
-    breakdown["reg_diff"] = float(l_reg.values)
-    if not np.isfinite(breakdown["reg_diff"]):
-        raise FloatingPointError("non-finite loss component 'reg_diff'")
-    opt_reg.zero_grad()
-    l_reg.backward()
-    opt_reg.step()
-    opt_reg.zero_grad()
+        # --- regularizer sub-step -------------------------------------------
+        l_reg = regularizer_loss(self.regularizer, z_hat.values, cond, rng)
+        breakdown["reg_diff"] = float(l_reg.values)
+        if not np.isfinite(breakdown["reg_diff"]):
+            raise FloatingPointError("non-finite loss component 'reg_diff'")
+        self.opt_reg.zero_grad()
+        l_reg.backward()
+        self.opt_reg.step()
+        self.opt_reg.zero_grad()
 
-    # --- discriminator sub-step ----------------------------------------------
-    l_disc = gan_discriminator_loss(disc, x, z_hat.values)
-    breakdown["adv_d"] = float(l_disc.values)
-    if not np.isfinite(breakdown["adv_d"]):
-        raise FloatingPointError("non-finite loss component 'adv_d'")
-    opt_disc.zero_grad()
-    l_disc.backward()
-    opt_disc.step()
-    opt_disc.zero_grad()
+        # --- discriminator sub-step -------------------------------------------
+        l_disc = gan_discriminator_loss(disc, x, z_hat.values)
+        breakdown["adv_d"] = float(l_disc.values)
+        if not np.isfinite(breakdown["adv_d"]):
+            raise FloatingPointError("non-finite loss component 'adv_d'")
+        self.opt_disc.zero_grad()
+        l_disc.backward()
+        self.opt_disc.step()
+        self.opt_disc.zero_grad()
 
-    return breakdown
+        return breakdown
+
+    def train(self, x_data, cond_data):
+        """`config.iterations` steps on batches drawn from the dataset by a
+        generator keyed by `config.seed`; returns the logged breakdowns."""
+        config = self.config
+        return fit("refine", self.step, x_data, cond_data,
+                   iterations=config.iterations, batch_size=config.batch_size,
+                   seed=config.seed, log_every=config.log_every)

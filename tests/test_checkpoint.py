@@ -116,3 +116,16 @@ def test_unknown_kind_rejected(tmp_path):
                      + struct.pack("<I", len(blob)) + blob)
     with pytest.raises((CheckpointFormatError, ValueError)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", [
+    json.dumps({"kind": "teacher", "param_count": 0}).encode(),
+    b"{not json",
+    b"\xff\xfe\x00",
+], ids=["missing-spec-key", "not-json", "not-utf8"])
+def test_malformed_header_rejected_naming_the_path(tmp_path, blob):
+    path = tmp_path / "header.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                     + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(CheckpointFormatError, match="header.ckpt"):
+        load_checkpoint(path)

@@ -219,6 +219,16 @@ def test_fixed_seed_reproduces_loss_sequence():
     assert a == b
 
 
+def test_train_student_divergence_names_stage_and_iteration():
+    teacher, _ = make_pair(seed=1)
+    x = np.full((16, 2), np.nan, dtype=np.float32)
+    cond = np.zeros((16, 1), dtype=np.float32)
+    config = Stage1Config(iterations=3, batch_size=4)
+    with pytest.raises(FloatingPointError,
+                       match=r"^distill iteration 0: non-finite loss in \w+ branch"):
+        train_student(teacher, x, cond, config)
+
+
 def test_train_student_self_consistent_at_init():
     # student copied from teacher satisfies the boundary anchor before training
     teacher, student = make_pair(seed=6)

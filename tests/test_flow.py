@@ -243,6 +243,14 @@ def test_teacher_training_deterministic():
         assert np.array_equal(a.values, b.values)
 
 
+def test_teacher_divergence_names_stage_and_iteration():
+    x = np.full((16, 2), np.nan, dtype=np.float32)
+    cond = np.zeros((16, 1), dtype=np.float32)
+    config = TeacherTrainConfig(iterations=3, batch_size=4, hidden_sizes=(8,))
+    with pytest.raises(FloatingPointError, match=r"^teacher iteration 0: non-finite"):
+        train_teacher(x, cond, config)
+
+
 def test_teacher_learns_point_mass():
     # closed-form optimum for point-mass data: v = eps - x0 along every path
     x0 = np.array([0.4, -0.8], dtype=np.float32)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from splitflow import (AdamW, Discriminator, FeatureNet, LossWeights,
+from splitflow import (Discriminator, FeatureNet, LossWeights,
                        Stage2Config, Stage2Trainer, StudentModel, TeacherModel,
                        Tensor, WeightSchedule, gan_discriminator_loss,
                        gan_generator_loss, make_rng, reconstruction_loss,
-                       regularizer_loss, stage2_train_step, vsd_gradient)
+                       regularizer_loss, vsd_gradient)
 
 
 class ConstantScorer:
@@ -289,12 +289,10 @@ def run_capture_step(weights, seed=7):
     rng = make_rng(seed)
     x = make_rng(10).standard_normal((8, 2)).astype(np.float32)
     cond = make_rng(11).standard_normal((8, 1)).astype(np.float32)
-    cap = GradCapture(student.named_parameters())
-    opt_reg = AdamW(regularizer.named_parameters(), learning_rate=0.0)
-    opt_disc = AdamW(disc.named_parameters(), learning_rate=0.0)
-    stage2_train_step(student, teacher, regularizer, disc, x, cond, config,
-                      rng, cap, opt_reg, opt_disc,
-                      feature_net=FeatureNet(2))
+    trainer = Stage2Trainer(student, teacher, regularizer, disc, config,
+                            feature_net=FeatureNet(2))
+    trainer.opt_student = cap = GradCapture(student.named_parameters())
+    trainer.step(x, cond, rng)
     return cap.captured, teacher, disc
 
 
@@ -368,3 +366,34 @@ def test_stage2_updates_all_three_networks():
     for net, before in zip((student, regularizer, disc), snaps):
         assert any(not np.array_equal(p.values, b)
                    for p, b in zip(net.parameters(), before))
+
+
+def test_stage2_train_is_a_loop_keyed_by_config_seed():
+    def make_trainer():
+        teacher, student, regularizer, disc = make_models(seed=3)
+        config = Stage2Config(iterations=4, batch_size=4, seed=9, log_every=2)
+        return Stage2Trainer(student, teacher, regularizer, disc, config,
+                             feature_net=FeatureNet(2))
+
+    x = make_rng(1).standard_normal((16, 2)).astype(np.float32)
+    cond = make_rng(2).standard_normal((16, 1)).astype(np.float32)
+    records = make_trainer().train(x, cond)
+    trainer, rng, expected = make_trainer(), make_rng(9), []
+    for it in range(4):
+        idx = rng.integers(0, 16, size=4)
+        breakdown = trainer.step(x[idx], cond[idx], rng)
+        if it in (0, 2, 3):
+            expected.append({"iteration": it, **breakdown})
+    assert records == expected
+
+
+def test_stage2_divergence_names_stage_iteration_and_component():
+    teacher, student, regularizer, disc = make_models(seed=2)
+    trainer = Stage2Trainer(student, teacher, regularizer, disc,
+                            Stage2Config(iterations=3, batch_size=4),
+                            feature_net=FeatureNet(2))
+    x = np.full((16, 2), np.nan, dtype=np.float32)
+    cond = np.zeros((16, 1), dtype=np.float32)
+    with pytest.raises(FloatingPointError,
+                       match=r"^refine iteration 0: non-finite loss component 'isc'"):
+        trainer.train(x, cond)
