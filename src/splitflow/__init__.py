@@ -5,15 +5,14 @@ distillation, and adversarial refinement on synthetic tasks."""
 from .autodiff import Tensor, backward_multi, concat, grad_check, stop_gradient
 from .nn import AdamW, Mlp
 from .flow import (SamplerConfig, TeacherModel, TeacherTrainConfig,
-                   cfg_velocity, fm_loss, instantaneous_velocity, interpolate,
-                   model_field, ode_sample, time_embedding, train_teacher)
+                   cfg_velocity, fm_loss, interpolate, model_field, ode_sample,
+                   time_embedding, train_teacher)
 from .distill import (Interval, Stage1Config, StudentModel, backward_integrate,
                       boundary_loss, isc_loss, isc_residual, isc_residual_scan,
                       multi_step_sample, one_step_sample, sample_interval,
                       stage1_train_step, train_student)
-from .data import (ConditionVector, DegradationParams, ToyDataset, degrade,
-                   encode_condition, generate_dataset, load_dataset, make_rng,
-                   save_dataset)
+from .data import (DegradationParams, ToyDataset, degrade, generate_dataset,
+                   make_rng)
 from .refine import (Discriminator, FeatureNet, LossWeights, Stage2Config,
                      Stage2Trainer, WeightSchedule, gan_discriminator_loss,
                      gan_generator_loss, reconstruction_loss, regularizer_loss,

@@ -57,10 +57,10 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"bad checkpoint magic in {path}")
     (version,) = struct.unpack("<I", data[4:8])
     if version != VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        raise CheckpointFormatError(f"unsupported checkpoint version {version} in {path}")
     (meta_len,) = struct.unpack("<I", data[8:12])
     if len(data) < 12 + meta_len:
-        raise CheckpointFormatError("truncated checkpoint metadata")
+        raise CheckpointFormatError(f"truncated checkpoint metadata in {path}")
     try:
         meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
         model = MODEL_KINDS[meta["kind"]].from_spec(meta)
@@ -72,11 +72,12 @@ def load_checkpoint(path):
     expected = sum(p.values.size for _, p in model.named_parameters())
     if meta.get("param_count") != expected:
         raise CheckpointFormatError(
-            f"layer sizes declare {expected} parameters, header says {meta.get('param_count')}")
+            f"layer sizes declare {expected} parameters, header of {path} says "
+            f"{meta.get('param_count')}")
     payload = data[12 + meta_len:]
     if len(payload) != 4 * expected:
         raise CheckpointFormatError(
-            f"payload holds {len(payload) // 4} floats, expected {expected}")
+            f"payload of {path} holds {len(payload) // 4} floats, expected {expected}")
     offset = 0
     for _, p in model.named_parameters():
         n = p.values.size

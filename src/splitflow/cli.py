@@ -10,8 +10,8 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import ExperimentConfig, load_config
 from .data import make_rng
-from .distill import (isc_residual, multi_step_sample, one_step_sample,
-                      isc_residual_scan, Interval)
+from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
+                      Interval)
 from .pipeline import STAGES, emit_report, run_pipeline
 
 STAGE_FOR_COMMAND = {
@@ -31,6 +31,13 @@ def _add_common(parser):
                         help="re-run stages whose outputs already exist")
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _load(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -47,17 +54,18 @@ def build_parser():
     for command, stages in STAGE_FOR_COMMAND.items():
         _add_common(sub.add_parser(command, help="run " + " -> ".join(stages)))
 
-    p = sub.add_parser("sample", help="draw one-step samples from a student checkpoint")
+    p = sub.add_parser("sample", help="draw samples from a student checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", type=str, default=None,
                    help="student checkpoint (defaults to stage-2 then stage-1 in output_dir)")
-    p.add_argument("--num", type=int, default=16)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--num", type=positive_int, default=16)
+    p.add_argument("--steps", type=positive_int, default=1,
+                   help="student jumps per sample (1 is one-step generation)")
     p.add_argument("--output", type=str, default=None)
 
     p = sub.add_parser("diagnose-isc", help="splitting-identity and branch diagnostics")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=1000)
     return parser
 
 
@@ -94,10 +102,7 @@ def cmd_sample(args):
     idx = rng.integers(0, cond_ref.shape[0], size=args.num)
     cond = cond_ref[idx]
     eps = rng.standard_normal((args.num, x_ref.shape[1])).astype(np.float32)
-    if args.steps == 1:
-        samples = one_step_sample(student, eps, cond)
-    else:
-        samples = multi_step_sample(student, eps, cond, args.steps)
+    samples = multi_step_sample(student, eps, cond, args.steps)
     out = args.output or os.path.join(config.output_dir, "samples.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     records = [{f"x{j}": float(v) for j, v in enumerate(row)} for row in samples]

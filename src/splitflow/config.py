@@ -87,24 +87,10 @@ class ExperimentConfig:
         return out
 
 
-_PARSERS = {
-    "dataset_name": str, "dataset_size": int, "dataset_seed_offset": int,
-    "degrade_factor": int, "degrade_noise_std": float,
-    "model_hidden": int, "model_layers": int, "model_time_embed_dim": int,
-    "teacher_iterations": int, "teacher_batch_size": int, "teacher_lr": float,
-    "teacher_weight_decay": float, "teacher_condition_dropout": float,
-    "stage1_iterations": int, "stage1_batch_size": int, "stage1_lr": float,
-    "stage1_branch_probability": float, "stage1_guidance_scale": _opt_float,
-    "stage1_full_interval_probability": float, "stage1_condition_dropout": float,
-    "stage2_iterations": int, "stage2_batch_size": int, "stage2_lr": float,
-    "stage2_regularizer_lr": float, "stage2_discriminator_lr": float,
-    "stage2_lambda1": float, "stage2_lambda2": float, "stage2_lambda3": float,
-    "stage2_lambda4": float, "stage2_vsd_t_min": float, "stage2_vsd_t_max": float,
-    "stage2_schedule": str,
-    "sampler_steps": int, "sampler_scheme": str, "sampler_guidance_scale": _opt_float,
-    "eval_n_seeds": int, "eval_sample_count": int, "eval_n_projections": int,
-    "seed": int, "output_dir": str, "emit_svg": _bool,
-}
+# The closed key set: one value parser per field, chosen by its annotation.
+_PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
+                     float | None: _opt_float}[f.type]
+            for f in fields(ExperimentConfig)}
 
 
 class ConfigError(ValueError):

@@ -5,7 +5,6 @@ an explicit 64-bit seed, so regeneration with the same (name, size, seed) is
 bit-identical across platforms.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,6 @@ PATCH_SIZE = 16
 PROJECTION_DIRECTION = np.array([0.8, 0.6], dtype=np.float64)
 OBSERVATION_NOISE_STD = 0.05
 
-DATASET_MAGIC = b"SMFD"
-DATASET_VERSION = 1
-
 
 def make_rng(seed):
     """Counter-based generator with documented constants: Philox4x64 keyed by `seed`."""
@@ -30,14 +26,6 @@ def make_rng(seed):
 class DegradationParams:
     downsample_factor: int = 2
     noise_std: float = 0.0
-    quantize_levels: int | None = None
-
-
-@dataclass
-class ConditionVector:
-    """Toy stand-in for the LR latent + caption pair; all-zero when dropped."""
-    values: np.ndarray
-    is_null: bool = False
 
 
 @dataclass
@@ -60,7 +48,7 @@ class ToyDataset:
 
 
 def degrade(x_h, params, rng):
-    """Block-average downsample, add Gaussian noise, optionally quantize, clamp to [0,1]."""
+    """Block-average downsample, add Gaussian noise, clamp to [0,1]."""
     x = np.asarray(x_h, dtype=np.float64)
     f = params.downsample_factor
     if x.shape[-1] % f != 0 or x.shape[-2] % f != 0:
@@ -71,21 +59,7 @@ def degrade(x_h, params, rng):
     out = blocks.mean(axis=(-3, -1))
     if params.noise_std > 0:
         out = out + rng.normal(0.0, params.noise_std, size=out.shape)
-    if params.quantize_levels is not None:
-        levels = params.quantize_levels
-        out = np.round(out * (levels - 1)) / (levels - 1)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
-
-
-def encode_condition(x_l, dropout_p, rng):
-    """Flatten the observation into a condition vector; drop it to the null
-    (all-zero) embedding with probability `dropout_p`."""
-    if not 0.0 <= dropout_p <= 1.0:
-        raise ValueError("dropout probability must lie in [0, 1]")
-    flat = np.asarray(x_l, dtype=np.float32).reshape(-1)
-    if rng.random() < dropout_p:
-        return ConditionVector(np.zeros_like(flat), is_null=True)
-    return ConditionVector(flat.copy(), is_null=False)
 
 
 def _two_moons(n, rng):
@@ -161,49 +135,3 @@ def generate_dataset(name, n, seed, degradation=None):
     obs = x_h @ PROJECTION_DIRECTION + rng.normal(0.0, OBSERVATION_NOISE_STD, size=n)
     return ToyDataset(name, x_h.astype(np.float32),
                       obs.astype(np.float32)[:, None], seed, labels=labels)
-
-
-def save_dataset(dataset, path):
-    """Flat binary export: header, then per-sample x_h and x_l as float32 LE."""
-    name_bytes = dataset.name.encode("utf-8")
-    x_h = dataset.x_h.astype("<f4")
-    x_l = dataset.x_l.astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_VERSION))
-        fh.write(struct.pack("<I", len(name_bytes)))
-        fh.write(name_bytes)
-        fh.write(struct.pack("<Q", len(dataset)))
-        for arr in (x_h, x_l):
-            dims = arr.shape[1:]
-            fh.write(struct.pack("<I", len(dims)))
-            for d in dims:
-                fh.write(struct.pack("<I", d))
-        for i in range(len(dataset)):
-            fh.write(x_h[i].tobytes())
-            fh.write(x_l[i].tobytes())
-
-
-def load_dataset(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"bad dataset magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != DATASET_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        (name_len,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(name_len).decode("utf-8")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        shapes = []
-        for _ in range(2):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shapes.append(tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim)))
-        h_size = int(np.prod(shapes[0])) if shapes[0] else 1
-        l_size = int(np.prod(shapes[1])) if shapes[1] else 1
-        x_h = np.empty((n, *shapes[0]), dtype=np.float32)
-        x_l = np.empty((n, *shapes[1]), dtype=np.float32)
-        for i in range(n):
-            x_h[i] = np.frombuffer(fh.read(4 * h_size), dtype="<f4").reshape(shapes[0])
-            x_l[i] = np.frombuffer(fh.read(4 * l_size), dtype="<f4").reshape(shapes[1])
-    return ToyDataset(name, x_h, x_l, seed=-1)

@@ -1,12 +1,12 @@
 """Stage-1 distillation: the dual-timestep average-velocity student, the
-interval-splitting and boundary consistency losses, branch-sampled training,
-and one-step noise-started sampling."""
+interval-splitting and boundary consistency losses, the branch-sampled loss
+both training stages share, and noise-started sampling by student jumps."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, stop_gradient
+from .autodiff import Tensor, concat
 from .flow import (ConditionedModel, _condition_array, cfg_velocity,
                    time_embedding)
 from .nn import AdamW, fit
@@ -87,7 +87,7 @@ class StudentModel(ConditionedModel):
         student.net = teacher.net.copy()
         return student
 
-    def average_velocity(self, z, r, t, cond, detach_params=False):
+    def average_velocity(self, z, r, t, cond):
         if not isinstance(z, Tensor):
             z = Tensor(z)
         batch = z.values.shape[0]
@@ -96,12 +96,10 @@ class StudentModel(ConditionedModel):
                                       self.time_embed_dim, dtype=dtype))
         emb_t = Tensor(time_embedding(np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,)),
                                       self.time_embed_dim, dtype=dtype))
-        pr = stop_gradient(self.proj_r) if detach_params else self.proj_r
-        pt = stop_gradient(self.proj_t) if detach_params else self.proj_t
-        fused = emb_r @ pr + emb_t @ pt
+        fused = emb_r @ self.proj_r + emb_t @ self.proj_t
         cond = _condition_array(cond, batch, self.cond_dim, dtype)
         inp = concat([z, fused, Tensor(cond)], axis=-1)
-        return self.net.forward(inp, detach_params=detach_params)
+        return self.net.forward(inp)
 
     __call__ = average_velocity
 
@@ -162,28 +160,34 @@ def boundary_loss(student, teacher, z_t, t, cond, w=None):
     return diff.square().mean()
 
 
-def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
-    """One branch-sampled training step.
+def distill(student, teacher, x, cond, rng, branch_probability,
+            full_interval_probability, w=None):
+    """The branch-sampled consistency loss of both training stages.
 
-    Samples an interval and q ~ U(0,1); q below the branch probability picks
-    the splitting-consistency branch, otherwise the boundary branch at a
-    sampled t with r=t. Returns (loss value, branch tag).
+    Samples an interval, q ~ U(0,1) and the noise; q below the branch
+    probability picks the splitting-consistency loss over the interval,
+    otherwise the boundary loss at a freshly sampled t with r=t (teacher
+    guided when `w` is set). Returns (loss, branch tag).
     """
-    x = np.asarray(x_batch, dtype=np.float32)
-    interval = sample_interval(rng, config.full_interval_probability)
+    interval = sample_interval(rng, full_interval_probability)
     q = rng.random()
     eps = rng.standard_normal(x.shape).astype(np.float32)
-    if q < config.branch_probability:
-        branch = "splitting"
+    if q < branch_probability:
         t = interval.t
         z_t = (1.0 - t) * x + t * eps
-        loss = isc_loss(student, z_t, interval, cond_batch)
-    else:
-        branch = "boundary"
-        t = rng.random()
-        z_t = (1.0 - t) * x + t * eps
-        loss = boundary_loss(student, teacher, z_t, t, cond_batch,
-                             w=config.guidance_scale)
+        return isc_loss(student, z_t, interval, cond), "splitting"
+    t = rng.random()
+    z_t = (1.0 - t) * x + t * eps
+    return boundary_loss(student, teacher, z_t, t, cond, w=w), "boundary"
+
+
+def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
+    """One branch-sampled training step; returns (loss value, branch tag)."""
+    x = np.asarray(x_batch, dtype=np.float32)
+    loss, branch = distill(student, teacher, x, cond_batch, rng,
+                           config.branch_probability,
+                           config.full_interval_probability,
+                           w=config.guidance_scale)
     value = float(loss.values)
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite loss in {branch} branch")
@@ -219,21 +223,18 @@ def train_student(teacher, x_data, cond_data, config, student=None):
 
 def one_step_sample(student, eps, cond):
     """Single-evaluation generation: eps - u(eps, 0, 1, cond)."""
-    eps = np.asarray(eps.values if isinstance(eps, Tensor) else eps)
-    u = _eval_field(student, eps, 0.0, 1.0, cond)
-    return eps - u
+    return multi_step_sample(student, eps, cond, 1)
 
 
 def multi_step_sample(student, eps, cond, k):
     """Chain the student's interval jumps over k equal sub-intervals of [0,1]."""
     if k < 1:
         raise ValueError("step count must be >= 1")
-    z = np.asarray(eps.values if isinstance(eps, Tensor) else eps).copy()
+    z = eps
     for i in range(k):
         t = 1.0 - i / k
-        s = t - 1.0 / k
-        s = 0.0 if i == k - 1 else s
-        z = z - (t - s) * _eval_field(student, z, s, t, cond)
+        s = 0.0 if i == k - 1 else t - 1.0 / k
+        z = backward_integrate(z, s, t, student, cond)
     return z
 
 

@@ -1,5 +1,5 @@
-"""Flow-matching primitives: linear interpolation paths, velocity targets,
-the teacher objective, ODE samplers, and guidance mixing.
+"""Flow-matching primitives: linear interpolation paths, the teacher
+objective, the Euler ODE sampler, and guidance mixing.
 
 Time convention throughout: t=1 is pure noise, t=0 is data. Samplers
 integrate from t=1 down to t=0.
@@ -43,26 +43,13 @@ def interpolate(x, eps, t):
     return x * (1.0 - tv) + eps * tv
 
 
-def instantaneous_velocity(x, eps):
-    """Time derivative of the linear path; constant in t."""
-    if isinstance(x, Tensor) or isinstance(eps, Tensor):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        eps = eps if isinstance(eps, Tensor) else Tensor(eps)
-        return eps - x
-    return np.asarray(eps) - np.asarray(x)
-
-
 @dataclass
 class SamplerConfig:
     num_steps: int = 100
-    scheme: str = "euler"
-    guidance_scale: float | None = None
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        if self.scheme not in ("euler", "midpoint"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 class ConditionedModel:
@@ -102,7 +89,7 @@ class TeacherModel(ConditionedModel):
 
     kind = "teacher"
 
-    def velocity(self, z, t, cond, detach_params=False):
+    def velocity(self, z, t, cond):
         if not isinstance(z, Tensor):
             z = Tensor(z)
         batch = z.values.shape[0]
@@ -110,7 +97,7 @@ class TeacherModel(ConditionedModel):
                              self.time_embed_dim, dtype=z.values.dtype)
         cond = _condition_array(cond, batch, self.cond_dim, z.values.dtype)
         inp = concat([z, Tensor(emb), Tensor(cond)], axis=-1)
-        return self.net.forward(inp, detach_params=detach_params)
+        return self.net.forward(inp)
 
     __call__ = velocity
 
@@ -124,13 +111,12 @@ class TeacherModel(ConditionedModel):
 
 
 def _condition_array(cond, batch, cond_dim, dtype):
-    """Accepts None (null condition), a ConditionVector, or an array."""
+    """Accepts None (null condition), a Tensor, or an array."""
     if cond is None:
         return np.zeros((batch, cond_dim), dtype=dtype)
-    values = getattr(cond, "values", cond)
-    if isinstance(values, Tensor):
-        values = values.values
-    values = np.asarray(values, dtype=dtype)
+    if isinstance(cond, Tensor):
+        cond = cond.values
+    values = np.asarray(cond, dtype=dtype)
     if values.ndim == 1:
         values = np.broadcast_to(values[None, :], (batch, cond_dim))
     return values
@@ -168,26 +154,18 @@ def ode_sample(field, z_start, config):
     trajectory = [z.copy()]
     for i in range(n):
         t = 1.0 + i * dt
-        if config.scheme == "euler":
-            z = z + dt * np.asarray(field(z, t))
-        else:
-            z_mid = z + 0.5 * dt * np.asarray(field(z, t))
-            z = z + dt * np.asarray(field(z_mid, t + 0.5 * dt))
+        z = z + dt * np.asarray(field(z, t))
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite state at integration step {i}")
         trajectory.append(z.copy())
     return z, trajectory
 
 
-def model_field(model, cond, guidance_scale=None):
+def model_field(model, cond):
     """Wrap a velocity model as a plain (z, t) -> v field for the sampler."""
 
     def field(z, t):
-        if guidance_scale is None:
-            v = model.velocity(z, t, cond)
-        else:
-            v = cfg_velocity(model, z, t, cond, guidance_scale)
-        return v.values
+        return model.velocity(z, t, cond).values
 
     return field
 

@@ -98,8 +98,6 @@ class MetricReport:
     metrics: dict = field(default_factory=dict)   # name -> (mean, std)
     values: dict = field(default_factory=dict)    # name -> [per-seed values]
     seeds: list = field(default_factory=list)
-    sample_count: int = 0
-    config_fingerprint: str = ""
 
     def rows(self):
         out = []
@@ -113,8 +111,7 @@ class MetricReport:
                 for name, (m, s) in sorted(self.metrics.items())]
 
 
-def metric_stability(sample_fn, reference, metric_fns, n_seeds=20, seeds=None,
-                     config_fingerprint=""):
+def metric_stability(sample_fn, reference, metric_fns, n_seeds=20, seeds=None):
     """Evaluate metrics per seed and report mean and std.
 
     `sample_fn(seed)` generates one batch of samples; each entry of
@@ -125,16 +122,13 @@ def metric_stability(sample_fn, reference, metric_fns, n_seeds=20, seeds=None,
     if len(seeds) < 2:
         raise ValueError("stability protocol needs at least 2 seeds")
     values = {name: [] for name in metric_fns}
-    count = 0
     for seed in seeds:
         samples = sample_fn(seed)
-        count = len(samples)
         for name, fn in metric_fns.items():
             values[name].append(float(fn(samples, reference)))
     metrics = {name: (float(np.mean(v)), float(np.std(v)))
                for name, v in values.items()}
-    return MetricReport(metrics=metrics, values=values, seeds=list(seeds),
-                        sample_count=count, config_fingerprint=config_fingerprint)
+    return MetricReport(metrics=metrics, values=values, seeds=list(seeds))
 
 
 def gradient_magnitudes(patches, side=16):

@@ -263,5 +263,4 @@ def evaluate_student(student, config):
                 rng=make_rng(stage_seed(config.seed, "projections"))),
         }
     return metric_stability(sample_fn, x_ref, metric_fns,
-                            n_seeds=config.eval_n_seeds,
-                            config_fingerprint=config.fingerprint())
+                            n_seeds=config.eval_n_seeds)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward_multi, stop_gradient
-from .distill import isc_loss, boundary_loss, sample_interval
+from .distill import distill
 from .nn import AdamW, Mlp, fit
 
 # Frozen feature network seed; published so the perceptual distance is
@@ -29,29 +29,15 @@ class LossWeights:
 
 
 class WeightSchedule:
-    """Time weighting for the score-distillation gradient.
+    """Time weighting for the score-distillation gradient, by name; the one
+    schedule, "constant-1", weights every time by one."""
 
-    "constant-1" is the neutral default; "custom table" interpolates a
-    user-supplied (t, value) table linearly over [0, 1].
-    """
-
-    def __init__(self, name="constant-1", table=None):
-        if name not in ("constant-1", "custom-table"):
+    def __init__(self, name="constant-1"):
+        if name != "constant-1":
             raise ValueError(f"unknown weight schedule {name!r}")
-        self.name = name
-        if name == "custom-table":
-            if not table:
-                raise ValueError("custom-table schedule needs a (t, value) table")
-            ts, vs = zip(*sorted(table))
-            if min(vs) < 0:
-                raise ValueError("schedule values must be nonnegative")
-            self.ts = np.asarray(ts, dtype=np.float64)
-            self.vs = np.asarray(vs, dtype=np.float64)
 
     def __call__(self, t):
-        if self.name == "constant-1":
-            return 1.0
-        return float(np.interp(t, self.ts, self.vs))
+        return 1.0
 
 
 class FeatureNet:
@@ -156,7 +142,7 @@ def reconstruction_loss(x_hat, x, feature_net=None):
 
 
 def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
-                 t_bounds=(0.02, 0.98), guidance_scale=None, t=None, eps=None):
+                 t_bounds=(0.02, 0.98), t=None, eps=None):
     """Score-distillation gradient with respect to the generated latent.
 
     Noises z_hat to a random time, evaluates the frozen teacher and the
@@ -170,11 +156,7 @@ def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
     if eps is None:
         eps = rng.standard_normal(z_hat.shape).astype(np.float32)
     z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
-    if guidance_scale is None:
-        v_teacher = teacher.velocity(z_t, t, cond).values
-    else:
-        from .flow import cfg_velocity
-        v_teacher = cfg_velocity(teacher, z_t, t, cond, guidance_scale).values
+    v_teacher = teacher.velocity(z_t, t, cond).values
     v_reg = regularizer.velocity(z_t, t, cond).values
     weight = schedule(t) if schedule is not None else 1.0
     return ((1.0 - t) * weight * (v_teacher - v_reg)).astype(np.float32), t
@@ -207,7 +189,6 @@ class Stage2Config:
     full_interval_probability: float = 0.25
     vsd_t_min: float = 0.02
     vsd_t_max: float = 0.98
-    vsd_guidance_scale: float | None = None
     schedule: str = "constant-1"
     seed: int = 0
     log_every: int = 50
@@ -258,24 +239,14 @@ class Stage2Trainer:
         u_full = student.average_velocity(eps_gen, 0.0, 1.0, cond)
         z_hat = Tensor(eps_gen) - u_full
 
-        interval = sample_interval(rng, config.full_interval_probability)
-        q = rng.random()
-        eps_isc = rng.standard_normal(x.shape).astype(np.float32)
-        if q < config.branch_probability:
-            t_isc = interval.t
-            z_t = (1.0 - t_isc) * x + t_isc * eps_isc
-            l_isc = isc_loss(student, z_t, interval, cond)
-        else:
-            t_b = rng.random()
-            z_t = (1.0 - t_b) * x + t_b * eps_isc
-            l_isc = boundary_loss(student, teacher, z_t, t_b, cond)
-
+        l_isc, _ = distill(student, teacher, x, cond, rng,
+                           config.branch_probability,
+                           config.full_interval_probability)
         l_rec = reconstruction_loss(z_hat, x, self.feature_net)
         l_gen = gan_generator_loss(disc, z_hat)
         vsd_grad, _ = vsd_gradient(z_hat, teacher, self.regularizer, cond,
                                    self.schedule, rng,
-                                   t_bounds=(config.vsd_t_min, config.vsd_t_max),
-                                   guidance_scale=config.vsd_guidance_scale)
+                                   t_bounds=(config.vsd_t_min, config.vsd_t_max))
 
         breakdown = {
             "isc": float(l_isc.values),

@@ -67,7 +67,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "v9.ckpt"
     path.write_bytes(MAGIC + struct.pack("<I", 9) + struct.pack("<I", 0))
-    with pytest.raises(CheckpointFormatError, match="version"):
+    with pytest.raises(CheckpointFormatError, match=r"version 9 in .*v9\.ckpt"):
         load_checkpoint(path)
 
 
@@ -78,7 +78,7 @@ def test_truncated_payload_rejected(tmp_path):
     data = path.read_bytes()
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(data[:len(data) - 40])
-    with pytest.raises(CheckpointFormatError, match="payload"):
+    with pytest.raises(CheckpointFormatError, match=r"payload of .*cut\.ckpt"):
         load_checkpoint(cut)
 
 
@@ -87,7 +87,7 @@ def test_truncated_metadata_rejected(tmp_path):
     path = tmp_path / "meta.ckpt"
     path.write_bytes(MAGIC + struct.pack("<I", VERSION)
                      + struct.pack("<I", len(blob) + 100) + blob)
-    with pytest.raises(CheckpointFormatError, match="metadata"):
+    with pytest.raises(CheckpointFormatError, match=r"metadata in .*meta\.ckpt"):
         load_checkpoint(path)
 
 
@@ -105,7 +105,8 @@ def test_param_count_mismatch_detected_before_loading(tmp_path):
               + bytes(data[12 + meta_len:]))
     bad = tmp_path / "forged.ckpt"
     bad.write_bytes(forged)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError,
+                       match=r"parameters, header of .*forged\.ckpt"):
         load_checkpoint(bad)
 
 

@@ -211,6 +211,23 @@ def test_cli_sample_without_checkpoint_fails_cleanly(tmp_path, capsys):
     assert "no student checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--steps", "0"],
+    ["sample", "--num", "-1"],
+    ["sample", "--num", "0"],
+    ["diagnose-isc", "--trials", "-5"],
+], ids=["steps-0", "num-negative", "num-0", "trials-negative"])
+def test_cli_rejects_non_positive_counts(tmp_path, capsys, argv):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", cfg_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"{argv[1]}: expected a positive integer, got {argv[2]}" in err
+    assert not os.path.exists(config.output_dir)
+
+
 def test_cli_seed_override(tmp_path, capsys):
     cfg_path, config = write_tiny_config_file(tmp_path)
     assert main(["train-teacher", "--config", cfg_path, "--seed", "9",

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from splitflow import (ConditionVector, DegradationParams, degrade,
-                       encode_condition, generate_dataset, load_dataset,
-                       make_rng, save_dataset)
+from splitflow import DegradationParams, degrade, generate_dataset, make_rng
 from splitflow.data import DATASET_NAMES
 
 
@@ -65,13 +63,6 @@ def test_degrade_constant_patch_noise_free():
     assert np.allclose(degrade(patch, params, make_rng(1)), 0.3)
 
 
-def test_degrade_binary_quantization():
-    patch = np.array([[[0.2, 0.9], [0.4, 0.61]]])
-    params = DegradationParams(downsample_factor=1, noise_std=0.0, quantize_levels=2)
-    out = degrade(patch, params, make_rng(2))
-    assert np.array_equal(out, np.array([[[0.0, 1.0], [0.0, 1.0]]], dtype=np.float32))
-
-
 def test_degrade_output_clamped():
     patch = np.full((1, 4, 4), 0.5)
     params = DegradationParams(downsample_factor=1, noise_std=50.0)
@@ -95,60 +86,3 @@ def test_degradation_contracts_information():
     db = degrade(b, params, make_rng(7))
     assert not np.array_equal(a, b)
     assert np.array_equal(da, db)
-
-
-# ---- condition encoding -------------------------------------------------------
-
-def test_encode_condition_degenerate_dropout():
-    x_l = make_rng(0).standard_normal(4).astype(np.float32)
-    keep = encode_condition(x_l, dropout_p=0.0, rng=make_rng(1))
-    assert not keep.is_null
-    assert np.array_equal(keep.values, x_l)
-    drop = encode_condition(x_l, dropout_p=1.0, rng=make_rng(1))
-    assert drop.is_null
-    assert np.array_equal(drop.values, np.zeros(4, dtype=np.float32))
-
-
-def test_encode_condition_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        encode_condition(np.zeros(2), dropout_p=1.5, rng=make_rng(0))
-
-
-def test_encode_condition_dropout_rate():
-    rng = make_rng(4)
-    x_l = np.zeros(2, dtype=np.float32)
-    nulls = [encode_condition(x_l, 0.2, rng).is_null for _ in range(10_000)]
-    assert 0.18 <= np.mean(nulls) <= 0.22
-
-
-def test_condition_vector_null_flag():
-    c = ConditionVector(values=np.zeros(3, dtype=np.float32), is_null=True)
-    assert c.is_null and not c.values.any()
-
-
-# ---- binary round trip ---------------------------------------------------------
-
-def test_dataset_roundtrip(tmp_path):
-    ds = generate_dataset("tiny-patches", 32, seed=11)
-    path = tmp_path / "patches.smfd"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.name == ds.name
-    assert np.array_equal(back.x_h, ds.x_h)
-    assert np.array_equal(back.x_l, ds.x_l)
-
-
-def test_dataset_roundtrip_2d(tmp_path):
-    ds = generate_dataset("two-moons-conditional", 16, seed=1)
-    path = tmp_path / "moons.smfd"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert np.array_equal(back.x_h, ds.x_h)
-    assert np.array_equal(back.x_l, ds.x_l)
-
-
-def test_dataset_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.smfd"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        load_dataset(path)

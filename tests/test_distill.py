@@ -22,7 +22,7 @@ class AnalyticField:
     def __init__(self, fn):
         self.fn = fn
 
-    def average_velocity(self, z, r, t, cond=None, detach_params=False):
+    def average_velocity(self, z, r, t, cond=None):
         z = np.asarray(z.values if isinstance(z, Tensor) else z)
         return Tensor(np.asarray(self.fn(z, r, t), dtype=np.float64))
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from splitflow import (SamplerConfig, TeacherModel, TeacherTrainConfig,
-                       cfg_velocity, fm_loss, instantaneous_velocity,
-                       interpolate, ode_sample, train_teacher)
+                       cfg_velocity, fm_loss, interpolate, ode_sample,
+                       train_teacher)
 from splitflow.flow import model_field
 
 
@@ -31,23 +31,6 @@ def test_interpolate_rejects_out_of_range_t():
     x = np.ones((1, 2), dtype=np.float32)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         interpolate(x, x, 1.5)
-
-
-def test_velocity_zero_when_equal():
-    x = np.ones((2, 3), dtype=np.float32)
-    assert not instantaneous_velocity(x, x).any()
-
-
-def test_velocity_simple():
-    assert np.allclose(instantaneous_velocity(np.zeros(2), np.ones(2)), 1.0)
-
-
-def test_velocity_is_time_free():
-    # velocity depends only on (x, eps); evaluating "at" two times is identical
-    x = np.random.default_rng(0).normal(size=(4, 2))
-    eps = np.random.default_rng(1).normal(size=(4, 2))
-    assert np.array_equal(instantaneous_velocity(x, eps),
-                          instantaneous_velocity(x, eps))
 
 
 # ---- flow-matching loss ----------------------------------------------------
@@ -160,8 +143,6 @@ def test_sampler_determinism_bitwise():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(num_steps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(scheme="rk4")
 
 
 # ---- classifier-free guidance ------------------------------------------------

@@ -27,7 +27,7 @@ class ConstantField:
     def __init__(self, value):
         self.value = value
 
-    def velocity(self, z, t, cond, detach_params=False):
+    def velocity(self, z, t, cond):
         z = np.asarray(z.values if isinstance(z, Tensor) else z)
         return Tensor(np.full_like(z, self.value, dtype=np.float32))
 
@@ -58,19 +58,9 @@ def test_weight_schedule_constant():
     assert all(s(t) == 1.0 for t in (0.0, 0.37, 1.0))
 
 
-def test_weight_schedule_table_interpolates():
-    s = WeightSchedule("custom-table", table=[(0.0, 0.0), (1.0, 2.0)])
-    assert s(0.5) == 1.0
-    assert s(0.25) == 0.5
-
-
 def test_weight_schedule_validation():
     with pytest.raises(ValueError, match="unknown"):
         WeightSchedule("cosine")
-    with pytest.raises(ValueError):
-        WeightSchedule("custom-table", table=[])
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightSchedule("custom-table", table=[(0.0, -1.0), (1.0, 1.0)])
 
 
 # ---- score-distillation gradient -----------------------------------------------
@@ -92,9 +82,8 @@ def test_vsd_gradient_exact_zero_at_fixed_point():
 def test_vsd_gradient_zero_weight_schedule():
     teacher = ConstantField(1.0)
     regularizer = ConstantField(0.0)
-    schedule = WeightSchedule("custom-table", table=[(0.0, 0.0), (1.0, 0.0)])
     grad, _ = vsd_gradient(np.zeros((2, 2)), teacher, regularizer, None,
-                           schedule, make_rng(1))
+                           lambda t: 0.0, make_rng(1))
     assert np.all(grad == 0.0)
 
 
@@ -111,8 +100,7 @@ def test_vsd_gradient_scales_with_schedule():
     args = (np.ones((2, 2)), ConstantField(2.0), ConstantField(-1.0), None)
     g1, _ = vsd_gradient(*args, WeightSchedule("constant-1"), make_rng(3),
                          t=0.25, eps=np.zeros((2, 2), dtype=np.float32))
-    s3 = WeightSchedule("custom-table", table=[(0.0, 3.0), (1.0, 3.0)])
-    g3, _ = vsd_gradient(*args, s3, make_rng(3),
+    g3, _ = vsd_gradient(*args, lambda t: 3.0, make_rng(3),
                          t=0.25, eps=np.zeros((2, 2), dtype=np.float32))
     assert np.allclose(g3, 3.0 * g1)
 
@@ -124,7 +112,7 @@ def test_regularizer_loss_zero_when_prediction_exact():
     eps = np.full((4, 2), 1.5, dtype=np.float32)
 
     class Exact:
-        def velocity(self, z, t, cond, detach_params=False):
+        def velocity(self, z, t, cond):
             return Tensor(eps - z_hat)
 
     value = regularizer_loss(Exact(), z_hat, None, make_rng(0), t=0.3, eps=eps)
