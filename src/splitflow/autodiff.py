@@ -29,10 +29,8 @@ class Tensor:
 
     __slots__ = ("values", "grad", "_parents", "_backward", "_consumed")
 
-    def __init__(self, values, dtype=None, _parents=(), _backward=None):
-        if isinstance(values, Tensor):
-            values = values.values
-        self.values = np.asarray(values, dtype=dtype if dtype is not None else None)
+    def __init__(self, values, _parents=(), _backward=None):
+        self.values = np.asarray(values)
         if self.values.dtype.kind != "f":
             self.values = self.values.astype(DEFAULT_DTYPE)
         self.grad = None
@@ -58,17 +56,15 @@ class Tensor:
 
     # ---- graph construction helpers -------------------------------------
 
-    @staticmethod
-    def _coerce(x, like=None):
+    def _coerce(self, x):
         if isinstance(x, Tensor):
             return x
-        dtype = like.values.dtype if like is not None else DEFAULT_DTYPE
-        return Tensor(np.asarray(x, dtype=dtype))
+        return Tensor(np.asarray(x, dtype=self.values.dtype))
 
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other, self)
+        other = self._coerce(other)
         out = Tensor(self.values + other.values, _parents=(self, other))
 
         def backward(grad):
@@ -93,13 +89,13 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-self._coerce(other, self))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        return self._coerce(other, self) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other, self)
+        other = self._coerce(other)
         out = Tensor(self.values * other.values, _parents=(self, other))
 
         def backward(grad):
@@ -119,7 +115,7 @@ class Tensor:
         return self * (1.0 / other)
 
     def __matmul__(self, other):
-        other = self._coerce(other, self)
+        other = self._coerce(other)
         out = Tensor(self.values @ other.values, _parents=(self, other))
 
         def backward(grad):
@@ -168,8 +164,6 @@ class Tensor:
         return out
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out = Tensor(self.values.reshape(shape), _parents=(self,))
 
         def backward(grad):

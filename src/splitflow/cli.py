@@ -1,5 +1,6 @@
 """Command-line surface: train-teacher, distill, refine, sample, eval,
-diagnose-isc. Every subcommand takes --config, --seed, and --dry-run."""
+diagnose-isc. Every subcommand takes --config, --seed, and --dry-run; the
+stage commands also take --force."""
 
 import argparse
 import os
@@ -12,7 +13,7 @@ from .config import ExperimentConfig, load_config
 from .data import make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
-from .pipeline import STAGES, emit_report, run_pipeline
+from .pipeline import STAGE_TABLE, STAGES, emit_report, run_pipeline
 
 STAGE_FOR_COMMAND = {
     **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
@@ -27,8 +28,6 @@ def _add_common(parser):
                         help="override the master seed")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the configuration and touch nothing")
-    parser.add_argument("--force", action="store_true",
-                        help="re-run stages whose outputs already exist")
 
 
 def positive_int(text):
@@ -52,7 +51,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, stages in STAGE_FOR_COMMAND.items():
-        _add_common(sub.add_parser(command, help="run " + " -> ".join(stages)))
+        p = sub.add_parser(command, help="run " + " -> ".join(stages))
+        _add_common(p)
+        p.add_argument("--force", action="store_true",
+                       help="re-run stages whose outputs already exist")
 
     p = sub.add_parser("sample", help="draw samples from a student checkpoint")
     _add_common(p)
@@ -84,7 +86,8 @@ def cmd_sample(args):
     config = _load(args)
     ckpt = args.checkpoint
     if ckpt is None:
-        for name in ("student_stage2.ckpt", "student_stage1.ckpt"):
+        # the student checkpoints the eval stage reads, in its order
+        for name in STAGE_TABLE[STAGES.index("eval")].needs[0]:
             candidate = os.path.join(config.output_dir, name)
             if os.path.exists(candidate):
                 ckpt = candidate

@@ -36,9 +36,6 @@ class ToyDataset:
     seed: int
     labels: np.ndarray | None = None
 
-    def __len__(self):
-        return self.x_h.shape[0]
-
     def cond_array(self):
         """Flattened observations, one row per sample."""
         return self.x_l.reshape(self.x_l.shape[0], -1).astype(np.float32)

@@ -51,11 +51,9 @@ class Stage1Config:
     iterations: int = 4000
     batch_size: int = 256
     learning_rate: float = 1e-3
-    weight_decay: float = 0.0
     full_interval_probability: float = 0.25
     condition_dropout: float = 0.0
     seed: int = 0
-    log_every: int = 100
 
     def __post_init__(self):
         if not 0.0 <= self.branch_probability <= 1.0:
@@ -116,7 +114,6 @@ def backward_integrate(z_t, s, t, u_field, cond=None):
     """
     if s > t:
         raise ValueError(f"backward integration requires s <= t, got s={s}, t={t}")
-    z_t = np.asarray(z_t.values if isinstance(z_t, Tensor) else z_t)
     u = _eval_field(u_field, z_t, s, t, cond)
     return z_t - (t - s) * u
 
@@ -137,12 +134,11 @@ def isc_loss(student, z_t, interval, cond):
     detached; gradient flows only through the long-interval prediction.
     """
     r, s, t, lam = interval.r, interval.s, interval.t, interval.lam
-    z_t_values = np.asarray(z_t.values if isinstance(z_t, Tensor) else z_t)
-    u2 = _eval_field(student, z_t_values, s, t, cond)
-    z_s = z_t_values - (t - s) * u2
+    u2 = _eval_field(student, z_t, s, t, cond)
+    z_s = z_t - (t - s) * u2
     u1 = _eval_field(student, z_s, r, s, cond)
     target = (1.0 - lam) * u1 + lam * u2
-    pred = student.average_velocity(Tensor(z_t_values), r, t, cond)
+    pred = student.average_velocity(Tensor(z_t), r, t, cond)
     diff = pred - Tensor(target.astype(pred.values.dtype))
     return diff.square().mean()
 
@@ -150,12 +146,11 @@ def isc_loss(student, z_t, interval, cond):
 def boundary_loss(student, teacher, z_t, t, cond, w=None):
     """Degenerate-interval anchor: the student at (t, t) must match the
     teacher's instantaneous velocity (guided when `w` is set)."""
-    z_t_values = np.asarray(z_t.values if isinstance(z_t, Tensor) else z_t)
     if w is None:
-        target = teacher.velocity(z_t_values, t, cond).values
+        target = teacher.velocity(z_t, t, cond).values
     else:
-        target = cfg_velocity(teacher, z_t_values, t, cond, w).values
-    pred = student.average_velocity(Tensor(z_t_values), t, t, cond)
+        target = cfg_velocity(teacher, z_t, t, cond, w).values
+    pred = student.average_velocity(Tensor(z_t), t, t, cond)
     diff = pred - Tensor(target.astype(pred.values.dtype))
     return diff.square().mean()
 
@@ -197,7 +192,7 @@ def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
     return value, branch
 
 
-def train_student(teacher, x_data, cond_data, config, student=None):
+def train_student(teacher, x_data, cond_data, config):
     """Full stage-1 loop over a dataset; returns (student, records).
 
     Each record carries the iteration, loss, and branch tag; the branch
@@ -205,10 +200,8 @@ def train_student(teacher, x_data, cond_data, config, student=None):
     """
     x_data = np.asarray(x_data, dtype=np.float32)
     cond_data = np.asarray(cond_data, dtype=np.float32)
-    if student is None:
-        student = StudentModel.from_teacher(teacher)
-    opt = AdamW(student.named_parameters(), learning_rate=config.learning_rate,
-                weight_decay=config.weight_decay)
+    student = StudentModel.from_teacher(teacher)
+    opt = AdamW(student.named_parameters(), learning_rate=config.learning_rate)
 
     def step(x, cond, rng):
         value, branch = stage1_train_step(student, teacher, x, cond, config, rng, opt)
@@ -216,8 +209,7 @@ def train_student(teacher, x_data, cond_data, config, student=None):
 
     records = fit("distill", step, x_data, cond_data,
                   iterations=config.iterations, batch_size=config.batch_size,
-                  seed=config.seed, condition_dropout=config.condition_dropout,
-                  log_every=config.log_every)
+                  seed=config.seed, condition_dropout=config.condition_dropout)
     return student, records
 
 
@@ -246,7 +238,6 @@ def isc_residual(field, z_t, interval, cond=None):
     are true path averages). Returns the max over components.
     """
     r, s, t = interval.r, interval.s, interval.t
-    z_t = np.asarray(z_t.values if isinstance(z_t, Tensor) else z_t)
     u_long = _eval_field(field, z_t, r, t, cond)
     u2 = _eval_field(field, z_t, s, t, cond)
     z_s = z_t - (t - s) * u2
@@ -255,11 +246,12 @@ def isc_residual(field, z_t, interval, cond=None):
     return float(np.max(np.abs(residual)))
 
 
-def isc_residual_scan(field, n_trials, rng, state_dim=1, cond=None, state_scale=1.0):
-    """Max absolute residual of the splitting identity over random intervals."""
+def isc_residual_scan(field, n_trials, rng):
+    """Max absolute residual of the splitting identity over random intervals,
+    each at a standard-normal one-dimensional state."""
     worst = 0.0
     for _ in range(n_trials):
         interval = sample_interval(rng, full_interval_probability=0.0)
-        z_t = rng.standard_normal((1, state_dim)) * state_scale
-        worst = max(worst, isc_residual(field, z_t, interval, cond))
+        z_t = rng.standard_normal((1, 1))
+        worst = max(worst, isc_residual(field, z_t, interval))
     return worst

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat
+from .data import make_rng
 from .nn import AdamW, Mlp, fit
 
 
@@ -29,18 +30,15 @@ def time_embedding(t, dim, dtype=np.float32):
 
 
 def interpolate(x, eps, t):
-    """Point on the linear noise-data path: (1-t)*x + t*eps."""
-    tv = np.asarray(t.values if isinstance(t, Tensor) else t)
-    if np.any(tv < 0.0) or np.any(tv > 1.0):
-        raise ValueError(f"interpolation time must lie in [0, 1], got {tv}")
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if not isinstance(eps, Tensor):
-        eps = Tensor(eps)
-    if tv.ndim == 1:
-        tv = tv[:, None]
-    tv = tv.astype(x.values.dtype)
-    return x * (1.0 - tv) + eps * tv
+    """Point on the linear noise-data path, (1-t)*x + t*eps, for arrays `x`
+    and `eps` and a time scalar or one time per row."""
+    t = np.asarray(t)
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError(f"interpolation time must lie in [0, 1], got {t}")
+    if t.ndim == 1:
+        t = t[:, None]
+    t = t.astype(x.dtype)
+    return x * (1.0 - t) + eps * t
 
 
 @dataclass
@@ -111,15 +109,10 @@ class TeacherModel(ConditionedModel):
 
 
 def _condition_array(cond, batch, cond_dim, dtype):
-    """Accepts None (null condition), a Tensor, or an array."""
+    """Accepts None (null condition) or a (batch, cond_dim) array."""
     if cond is None:
         return np.zeros((batch, cond_dim), dtype=dtype)
-    if isinstance(cond, Tensor):
-        cond = cond.values
-    values = np.asarray(cond, dtype=dtype)
-    if values.ndim == 1:
-        values = np.broadcast_to(values[None, :], (batch, cond_dim))
-    return values
+    return np.asarray(cond, dtype=dtype)
 
 
 def fm_loss(model, x, eps, t, cond):
@@ -180,7 +173,6 @@ class TeacherTrainConfig:
     hidden_sizes: tuple = (128, 128)
     time_embed_dim: int = 16
     seed: int = 0
-    log_every: int = 100
 
 
 def train_teacher(x_data, cond_data, config, model=None):
@@ -199,7 +191,7 @@ def train_teacher(x_data, cond_data, config, model=None):
         model = TeacherModel(x_data.shape[1], cond_data.shape[1],
                              hidden_sizes=tuple(config.hidden_sizes),
                              time_embed_dim=config.time_embed_dim,
-                             rng=np.random.Generator(np.random.Philox(key=config.seed + 1)))
+                             rng=make_rng(config.seed + 1))
     opt = AdamW(model.named_parameters(), learning_rate=config.learning_rate,
                 weight_decay=config.weight_decay)
 
@@ -217,6 +209,5 @@ def train_teacher(x_data, cond_data, config, model=None):
 
     records = fit("teacher", step, x_data, cond_data,
                   iterations=config.iterations, batch_size=config.batch_size,
-                  seed=config.seed, condition_dropout=config.condition_dropout,
-                  log_every=config.log_every)
+                  seed=config.seed, condition_dropout=config.condition_dropout)
     return model, records

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import make_rng
+from .data import PATCH_SIZE, make_rng
 from .distill import one_step_sample
 
 DEFAULT_N_PROJECTIONS = 256
@@ -44,8 +44,9 @@ def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
     return float(w2.mean())
 
 
-def psnr(a, b, peak=1.0):
-    """10*log10(peak^2 / MSE) in dB; identical inputs report +inf."""
+def psnr(a, b):
+    """10*log10(1 / MSE) in dB for values on a unit peak; identical inputs
+    report +inf."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -53,7 +54,7 @@ def psnr(a, b, peak=1.0):
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
+    return 10.0 * np.log10(1.0 / mse)
 
 
 def feature_distance(feature_net, a, b):
@@ -111,14 +112,13 @@ class MetricReport:
                 for name, (m, s) in sorted(self.metrics.items())]
 
 
-def metric_stability(sample_fn, reference, metric_fns, n_seeds=20, seeds=None):
-    """Evaluate metrics per seed and report mean and std.
+def metric_stability(sample_fn, reference, metric_fns, n_seeds=20):
+    """Evaluate metrics for seeds 1..n_seeds and report mean and std.
 
     `sample_fn(seed)` generates one batch of samples; each entry of
     `metric_fns` maps (samples, reference) -> float.
     """
-    if seeds is None:
-        seeds = list(range(1, n_seeds + 1))
+    seeds = list(range(1, n_seeds + 1))
     if len(seeds) < 2:
         raise ValueError("stability protocol needs at least 2 seeds")
     values = {name: [] for name in metric_fns}
@@ -128,13 +128,13 @@ def metric_stability(sample_fn, reference, metric_fns, n_seeds=20, seeds=None):
             values[name].append(float(fn(samples, reference)))
     metrics = {name: (float(np.mean(v)), float(np.std(v)))
                for name, v in values.items()}
-    return MetricReport(metrics=metrics, values=values, seeds=list(seeds))
+    return MetricReport(metrics=metrics, values=values, seeds=seeds)
 
 
-def gradient_magnitudes(patches, side=16):
+def gradient_magnitudes(patches):
     """Pooled distribution of finite-difference gradient magnitudes over a
     patch batch; the high-frequency statistic compared via sliced_wasserstein."""
-    p = np.asarray(patches, dtype=np.float64).reshape(-1, side, side)
+    p = np.asarray(patches, dtype=np.float64).reshape(-1, PATCH_SIZE, PATCH_SIZE)
     gx = np.diff(p, axis=2)
     gy = np.diff(p, axis=1)
     mags = np.concatenate([np.abs(gx).reshape(-1), np.abs(gy).reshape(-1)])

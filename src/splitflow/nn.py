@@ -6,6 +6,10 @@ import numpy as np
 from .autodiff import Tensor, stop_gradient
 from .data import make_rng
 
+# AdamW's moment decay rates and denominator floor.
+BETA1, BETA2 = 0.9, 0.999
+EPSILON = 1e-8
+
 
 class Mlp:
     """Dense float32 network: linear layers with SiLU between them.
@@ -62,9 +66,6 @@ class Mlp:
             named.append((f"layer{i}.bias", b))
         return named
 
-    def param_count(self):
-        return sum(p.values.size for p in self.parameters())
-
     def copy(self):
         clone = Mlp.__new__(Mlp)
         clone.layer_sizes = list(self.layer_sizes)
@@ -75,21 +76,13 @@ class Mlp:
 
 class AdamW:
     """Adam with decoupled weight decay: decay is applied to the parameter
-    directly, never through the moment estimates."""
+    directly, never through the moment estimates. `named_params` is a list
+    of (name, Tensor) pairs."""
 
-    def __init__(self, named_params, learning_rate=5e-5, betas=(0.9, 0.999),
-                 epsilon=1e-8, weight_decay=0.0):
-        if isinstance(named_params, dict):
-            named_params = list(named_params.items())
-        named_params = [
-            p if isinstance(p, tuple) else (f"param{i}", p)
-            for i, p in enumerate(named_params)
-        ]
+    def __init__(self, named_params, learning_rate=5e-5, weight_decay=0.0):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
         self.learning_rate = learning_rate
-        self.betas = betas
-        self.epsilon = epsilon
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
@@ -97,9 +90,8 @@ class AdamW:
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.betas
-        bias1 = 1.0 - b1 ** self.step_count
-        bias2 = 1.0 - b2 ** self.step_count
+        bias1 = 1.0 - BETA1 ** self.step_count
+        bias2 = 1.0 - BETA2 ** self.step_count
         for name, p, m, v in zip(self.names, self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             if not np.all(np.isfinite(g)):
@@ -107,12 +99,12 @@ class AdamW:
             # In place through two scratch arrays, but the same operations in
             # the same order as `p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`,
             # so every result is bit-identical to that form.
-            t = np.multiply(g, 1.0 - b1)
-            m *= b1
+            t = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += t
             np.square(g, out=t)
-            t *= 1.0 - b2
-            v *= b2
+            t *= 1.0 - BETA2
+            v *= BETA2
             v += t
             if self.weight_decay:
                 p.values -= (self.learning_rate * self.weight_decay) * p.values
@@ -120,7 +112,7 @@ class AdamW:
             t *= self.learning_rate
             u = np.divide(v, bias2)
             np.sqrt(u, out=u)
-            u += self.epsilon
+            u += EPSILON
             t /= u
             p.values -= t
 

@@ -39,8 +39,9 @@ def emit_report(records, path, columns=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_svg_plot(records, x_key, y_key, path, width=640, height=320):
-    """Pure-emission SVG polyline of a loss curve."""
+def emit_svg_plot(records, x_key, y_key, path):
+    """Pure-emission 640x320 SVG polyline of a loss curve."""
+    width, height = 640, 320
     xs = [float(r[x_key]) for r in records]
     ys = [float(r[y_key]) for r in records]
     if not xs:

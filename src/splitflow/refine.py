@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward_multi, stop_gradient
+from .data import make_rng
 from .distill import distill
 from .nn import AdamW, Mlp, fit
 
@@ -44,8 +45,8 @@ class FeatureNet:
     """Frozen randomly-initialized 2-layer feature map (perceptual-distance
     stand-in). Deterministic for a given input dimension."""
 
-    def __init__(self, in_dim, feature_dim=32, seed=FEATURE_NET_SEED):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+    def __init__(self, in_dim, feature_dim=32):
+        rng = make_rng(FEATURE_NET_SEED)
         self.net = Mlp([in_dim, 64, feature_dim], rng=rng)
 
     def __call__(self, x):
@@ -73,8 +74,7 @@ class Discriminator:
         self.net = Mlp([in_dim, hidden, hidden, 1], rng=rng)
 
     def score(self, x, detach_params=False):
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        """Realness scores of a sample Tensor, one row per sample."""
         if self.pool_from is not None:
             side, out = self.pool_from, self.pool_to
             f = side // out
@@ -125,20 +125,15 @@ def gan_discriminator_loss(disc, real_batch, fake_batch):
     return real_term + fake_term
 
 
-def reconstruction_loss(x_hat, x, feature_net=None):
-    """Pixel MSE plus feature-space MSE under a frozen feature map."""
-    if not isinstance(x_hat, Tensor):
-        x_hat = Tensor(x_hat)
-    x = np.asarray(x.values if isinstance(x, Tensor) else x)
+def reconstruction_loss(x_hat, x, feature_net):
+    """Pixel MSE plus feature-space MSE under a frozen feature map, between
+    the generated Tensor `x_hat` and the data array `x`."""
     if x_hat.values.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_hat.values.shape} vs {x.shape}")
     target = Tensor(x.astype(x_hat.values.dtype))
-    loss = (x_hat - target).square().mean()
-    if feature_net is not None:
-        f_hat = feature_net(x_hat)
-        f_ref = stop_gradient(feature_net(target))
-        loss = loss + (f_hat - f_ref).square().mean()
-    return loss
+    f_hat = feature_net(x_hat)
+    f_ref = stop_gradient(feature_net(target))
+    return (x_hat - target).square().mean() + (f_hat - f_ref).square().mean()
 
 
 def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
@@ -158,15 +153,13 @@ def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
     z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
     v_teacher = teacher.velocity(z_t, t, cond).values
     v_reg = regularizer.velocity(z_t, t, cond).values
-    weight = schedule(t) if schedule is not None else 1.0
+    weight = schedule(t)
     return ((1.0 - t) * weight * (v_teacher - v_reg)).astype(np.float32), t
 
 
-def regularizer_loss(regularizer, z_hat_detached, cond, rng, t=None, eps=None):
-    """Diffusion objective on detached student samples, updating only the
-    regularizer: || v_reg(z_t, t) - (eps - z_hat) ||^2."""
-    z_hat = np.asarray(
-        z_hat_detached.values if isinstance(z_hat_detached, Tensor) else z_hat_detached)
+def regularizer_loss(regularizer, z_hat, cond, rng, t=None, eps=None):
+    """Diffusion objective on a detached student sample array, updating only
+    the regularizer: || v_reg(z_t, t) - (eps - z_hat) ||^2."""
     if t is None:
         t = rng.random()
     if eps is None:
@@ -191,7 +184,6 @@ class Stage2Config:
     vsd_t_max: float = 0.98
     schedule: str = "constant-1"
     seed: int = 0
-    log_every: int = 50
 
     def __post_init__(self):
         if self.weights is None:
@@ -202,8 +194,7 @@ class Stage2Trainer:
     """Owns the three optimizer states and runs the fixed alternating update:
     student, then regularizer, then discriminator."""
 
-    def __init__(self, student, teacher, regularizer, disc, config,
-                 feature_net=None):
+    def __init__(self, student, teacher, regularizer, disc, config, feature_net):
         self.student = student
         self.teacher = teacher
         self.regularizer = regularizer
@@ -292,8 +283,9 @@ class Stage2Trainer:
 
     def train(self, x_data, cond_data):
         """`config.iterations` steps on batches drawn from the dataset by a
-        generator keyed by `config.seed`; returns the logged breakdowns."""
+        generator keyed by `config.seed`; returns the breakdowns logged every
+        50 iterations and at the last one."""
         config = self.config
         return fit("refine", self.step, x_data, cond_data,
                    iterations=config.iterations, batch_size=config.batch_size,
-                   seed=config.seed, log_every=config.log_every)
+                   seed=config.seed, log_every=50)

@@ -228,6 +228,16 @@ def test_cli_rejects_non_positive_counts(tmp_path, capsys, argv):
     assert not os.path.exists(config.output_dir)
 
 
+@pytest.mark.parametrize("command", ["sample", "diagnose-isc"])
+def test_cli_force_only_on_stage_commands(tmp_path, capsys, command):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    assert not os.path.exists(config.output_dir)
+
+
 def test_cli_seed_override(tmp_path, capsys):
     cfg_path, config = write_tiny_config_file(tmp_path)
     assert main(["train-teacher", "--config", cfg_path, "--seed", "9",

@@ -27,7 +27,6 @@ class AnalyticField:
         return Tensor(np.asarray(self.fn(z, r, t), dtype=np.float64))
 
     def __call__(self, z, r, t):
-        z = np.asarray(z.values if isinstance(z, Tensor) else z)
         return np.asarray(self.fn(z, r, t), dtype=np.float64)
 
 

@@ -17,14 +17,14 @@ def make_teacher(seed=0, state_dim=2, cond_dim=1, hidden=(8, 8)):
 def test_path_endpoints_exact():
     x = np.array([[1.0, -2.0]], dtype=np.float32)
     eps = np.array([[0.5, 3.0]], dtype=np.float32)
-    assert np.array_equal(interpolate(x, eps, 0.0).values, x)
-    assert np.array_equal(interpolate(x, eps, 1.0).values, eps)
+    assert np.array_equal(interpolate(x, eps, 0.0), x)
+    assert np.array_equal(interpolate(x, eps, 1.0), eps)
 
 
 def test_interpolate_quarter():
     out = interpolate(np.array([[2.0]], dtype=np.float32),
                       np.array([[0.0]], dtype=np.float32), 0.25)
-    assert np.allclose(out.values, 1.5)
+    assert np.allclose(out, 1.5)
 
 
 def test_interpolate_rejects_out_of_range_t():

@@ -15,7 +15,6 @@ class ConstantScorer:
         self.value = value
 
     def score(self, x, detach_params=False):
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
         n = x.values.shape[0]
         ones = Tensor(np.ones((n, 1), dtype=np.float32))
         return (x.sum() * 0.0) + ones * self.value
@@ -143,7 +142,7 @@ def test_regularizer_loss_routes_gradient_to_regularizer_only():
 # ---- adversarial losses --------------------------------------------------------
 
 def test_generator_loss_is_negative_mean_score():
-    fake = np.zeros((5, 2), dtype=np.float32)
+    fake = Tensor(np.zeros((5, 2), dtype=np.float32))
     assert float(gan_generator_loss(ConstantScorer(2.0), fake).values) == -2.0
     assert float(gan_generator_loss(ConstantScorer(-0.5), fake).values) == 0.5
 
@@ -192,7 +191,7 @@ def test_patch_discriminator_pools_blocks():
     # constant patch pools to a constant; score must equal the score of the
     # already-pooled constant input fed through the same trunk
     patch = np.full((3, 256), 0.7, dtype=np.float32)
-    direct = disc.score(patch).values
+    direct = disc.score(Tensor(patch)).values
     pooled = disc.net.forward(Tensor(np.full((3, 16), 0.7, dtype=np.float32))).values
     assert np.allclose(direct, pooled, atol=1e-6)
 
@@ -206,16 +205,14 @@ def test_patch_discriminator_rejects_indivisible_pooling():
 
 def test_reconstruction_zero_when_identical():
     x = make_rng(0).standard_normal((4, 8)).astype(np.float32)
-    assert float(reconstruction_loss(x.copy(), x).values) == 0.0
-    fnet = FeatureNet(8)
-    assert float(reconstruction_loss(x.copy(), x, fnet).values) == 0.0
+    assert float(reconstruction_loss(Tensor(x.copy()), x, FeatureNet(8)).values) == 0.0
 
 
 def test_reconstruction_pixel_term_is_mean_square():
-    x_hat = np.array([[1.0, 3.0]], dtype=np.float32)
+    x_hat = Tensor(np.array([[1.0, 3.0]], dtype=np.float32))
     x = np.array([[0.0, 1.0]], dtype=np.float32)
-    # (1 + 4) / 2
-    assert float(reconstruction_loss(x_hat, x).values) == 2.5
+    # (1 + 4) / 2, under a feature map that sends everything to zero
+    assert float(reconstruction_loss(x_hat, x, lambda v: v * 0.0).values) == 2.5
 
 
 def test_reconstruction_with_linear_feature_map():
@@ -224,12 +221,11 @@ def test_reconstruction_with_linear_feature_map():
     F = rng.standard_normal((4, 6)).astype(np.float32)
 
     def linear_net(x):
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
         return x @ Tensor(F)
 
     x_hat = rng.standard_normal((5, 4)).astype(np.float32)
     x = rng.standard_normal((5, 4)).astype(np.float32)
-    got = float(reconstruction_loss(x_hat, x, linear_net).values)
+    got = float(reconstruction_loss(Tensor(x_hat), x, linear_net).values)
     delta = x_hat - x
     want = np.mean(delta ** 2) + np.mean((delta @ F) ** 2)
     assert np.isclose(got, want, rtol=1e-5)
@@ -237,7 +233,7 @@ def test_reconstruction_with_linear_feature_map():
 
 def test_reconstruction_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        reconstruction_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+        reconstruction_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 4)), FeatureNet(3))
 
 
 def test_feature_net_is_deterministic_and_frozen():
@@ -359,7 +355,7 @@ def test_stage2_updates_all_three_networks():
 def test_stage2_train_is_a_loop_keyed_by_config_seed():
     def make_trainer():
         teacher, student, regularizer, disc = make_models(seed=3)
-        config = Stage2Config(iterations=4, batch_size=4, seed=9, log_every=2)
+        config = Stage2Config(iterations=4, batch_size=4, seed=9)
         return Stage2Trainer(student, teacher, regularizer, disc, config,
                              feature_net=FeatureNet(2))
 
@@ -370,7 +366,7 @@ def test_stage2_train_is_a_loop_keyed_by_config_seed():
     for it in range(4):
         idx = rng.integers(0, 16, size=4)
         breakdown = trainer.step(x[idx], cond[idx], rng)
-        if it in (0, 2, 3):
+        if it in (0, 3):
             expected.append({"iteration": it, **breakdown})
     assert records == expected
 
