@@ -69,7 +69,8 @@ def load_checkpoint(path):
         # model constructors reject.
         raise CheckpointFormatError(
             f"malformed checkpoint header in {path}: {exc!r}") from exc
-    expected = sum(p.values.size for _, p in model.named_parameters())
+    sizes = [p.values.size for p in model.parameters()]
+    expected = sum(sizes)
     if meta.get("param_count") != expected:
         raise CheckpointFormatError(
             f"layer sizes declare {expected} parameters, header of {path} says "
@@ -78,10 +79,6 @@ def load_checkpoint(path):
     if len(payload) != 4 * expected:
         raise CheckpointFormatError(
             f"payload of {path} holds {len(payload) // 4} floats, expected {expected}")
-    offset = 0
-    for _, p in model.named_parameters():
-        n = p.values.size
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=4 * offset)
-        p.values = arr.reshape(p.values.shape).copy()
-        offset += n
+    flat = np.frombuffer(payload, dtype="<f4")
+    model.load_parameters(np.split(flat, np.cumsum(sizes)[:-1]))
     return model, meta

@@ -13,7 +13,7 @@ from .config import ExperimentConfig, load_config
 from .data import make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
-from .pipeline import STAGE_TABLE, STAGES, emit_report, run_pipeline
+from .pipeline import STAGE_TABLE, STAGES, _eval_data, emit_report, run_pipeline
 
 STAGE_FOR_COMMAND = {
     **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
@@ -98,8 +98,10 @@ def cmd_sample(args):
     if args.dry_run:
         print(f"config ok (fingerprint {config.fingerprint()}); would sample from {ckpt}")
         return 0
-    student, _ = load_checkpoint(ckpt)
-    from .pipeline import _eval_data
+    student, meta = load_checkpoint(ckpt)
+    if meta["kind"] != "student":
+        print(f"{ckpt} is a {meta['kind']} checkpoint, not a student one", file=sys.stderr)
+        return 2
     x_ref, cond_ref = _eval_data(config)
     rng = make_rng(config.seed)
     idx = rng.integers(0, cond_ref.shape[0], size=args.num)

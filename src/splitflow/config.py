@@ -7,6 +7,8 @@ failure mode in reproduction work, so the parser refuses them outright.
 import hashlib
 from dataclasses import dataclass, fields
 
+from .data import DATASET_NAMES
+
 
 def _opt_float(text):
     return None if text == "none" else float(text)
@@ -92,15 +94,21 @@ _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
                      float | None: _opt_float}[f.type]
             for f in fields(ExperimentConfig)}
 
+# The least value of each bounded count; probability and dropout keys lie in [0, 1].
+_LEAST = {"dataset_size": 1, "degrade_factor": 1, "model_hidden": 1, "model_layers": 1,
+          "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
+          "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
+          "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1}
+
 
 class ConfigError(ValueError):
     pass
 
 
 def parse_config(text, path="<string>"):
-    """Parse `key = value` lines ('#' comments, blank lines allowed)."""
+    """Parse and range-check `key = value` lines ('#' comments, blank lines allowed)."""
     config = ExperimentConfig()
-    seen = set()
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,11 +120,20 @@ def parse_config(text, path="<string>"):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
+        seen[key] = lineno
         try:
-            setattr(config, key, _PARSERS[key](value))
+            value = _PARSERS[key](value)
+            if (key in _LEAST and value < _LEAST[key]
+                    or key == "dataset_name" and value not in DATASET_NAMES
+                    or key.endswith(("_probability", "_dropout")) and not 0 <= value <= 1):
+                raise ValueError(f"{value!r} is out of range")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        setattr(config, key, value)
+    if not 0 <= config.stage2_vsd_t_min <= config.stage2_vsd_t_max <= 1:
+        line = max(seen.get("stage2_vsd_t_min", 0), seen.get("stage2_vsd_t_max", 0))
+        raise ConfigError(f"{path}:{line}: bad values for 'stage2_vsd_t_min' and "
+                          "'stage2_vsd_t_max': expected 0 <= t_min <= t_max <= 1")
     return config
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat
 from .data import make_rng
-from .nn import AdamW, Mlp, fit
+from .nn import AdamW, Mlp, Model, fit
 
 
 def time_embedding(t, dim, dtype=np.float32):
@@ -50,7 +50,7 @@ class SamplerConfig:
             raise ValueError("num_steps must be >= 1")
 
 
-class ConditionedModel:
+class ConditionedModel(Model):
     """An MLP over concatenated (state, time embedding, condition); the shape
     the teacher and the student share, described by `spec()`."""
 
@@ -75,11 +75,16 @@ class ConditionedModel:
                    hidden_sizes=spec["layer_sizes"][1:-1],
                    time_embed_dim=spec["time_embed_dim"])
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
+    def _embed(self, z, t):
+        """Embedding of a time scalar or one time per row, for each row of `z`."""
+        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (z.shape[0],))
+        return Tensor(time_embedding(t, self.time_embed_dim, dtype=z.dtype))
 
-    def named_parameters(self):
-        return self.net.named_parameters()
+    def _trunk(self, z, emb, cond):
+        """The net on (z, time embedding, condition) concatenated; `None` means zeros."""
+        if cond is None:
+            cond = np.zeros((z.shape[0], self.cond_dim))
+        return self.net.forward(concat([z, emb, np.asarray(cond, dtype=z.dtype)], axis=-1))
 
 
 class TeacherModel(ConditionedModel):
@@ -90,29 +95,9 @@ class TeacherModel(ConditionedModel):
     def velocity(self, z, t, cond):
         if not isinstance(z, Tensor):
             z = Tensor(z)
-        batch = z.values.shape[0]
-        emb = time_embedding(np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,)),
-                             self.time_embed_dim, dtype=z.values.dtype)
-        cond = _condition_array(cond, batch, self.cond_dim, z.values.dtype)
-        inp = concat([z, Tensor(emb), Tensor(cond)], axis=-1)
-        return self.net.forward(inp)
+        return self._trunk(z, self._embed(z, t), cond)
 
     __call__ = velocity
-
-    def copy(self):
-        clone = TeacherModel.__new__(type(self))
-        clone.state_dim = self.state_dim
-        clone.cond_dim = self.cond_dim
-        clone.time_embed_dim = self.time_embed_dim
-        clone.net = self.net.copy()
-        return clone
-
-
-def _condition_array(cond, batch, cond_dim, dtype):
-    """Accepts None (null condition) or a (batch, cond_dim) array."""
-    if cond is None:
-        return np.zeros((batch, cond_dim), dtype=dtype)
-    return np.asarray(cond, dtype=dtype)
 
 
 def fm_loss(model, x, eps, t, cond):

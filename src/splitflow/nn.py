@@ -15,21 +15,20 @@ class Mlp:
     """Dense float32 network: linear layers with SiLU between them.
 
     `layer_sizes` lists [in, hidden..., out]; the final layer is linear.
-    Weights use fan-in-scaled uniform initialization from the given seeded rng,
-    biases start at zero.
+    Weights use fan-in-scaled uniform initialization from the given seeded
+    rng, or start at zero (to be loaded) without one; biases start at zero.
     """
 
     def __init__(self, layer_sizes, rng=None):
         if len(layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least an input and an output size")
         self.layer_sizes = list(layer_sizes)
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
+            w = (np.zeros((fan_in, fan_out), dtype=np.float32) if rng is None else
+                 rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
             self.weights.append(Tensor(w))
             self.biases.append(Tensor(np.zeros(fan_out, dtype=np.float32)))
 
@@ -54,10 +53,7 @@ class Mlp:
     __call__ = forward
 
     def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend([w, b])
-        return params
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self):
         named = []
@@ -66,11 +62,26 @@ class Mlp:
             named.append((f"layer{i}.bias", b))
         return named
 
+
+class Model:
+    """Base of the checkpointable networks: `spec()` describes the architecture,
+    the classmethod `from_spec(spec)` rebuilds it, and the parameters are those
+    of the `Mlp` in `net` unless a subclass overrides `named_parameters`."""
+
+    def named_parameters(self):
+        return self.net.named_parameters()
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
+
+    def load_parameters(self, arrays):
+        """Set each parameter, in declared order, to a float32 copy of its array (reshaped)."""
+        for (_, p), values in zip(self.named_parameters(), arrays, strict=True):
+            p.values = np.array(values, dtype=np.float32).reshape(p.values.shape)
+
     def copy(self):
-        clone = Mlp.__new__(Mlp)
-        clone.layer_sizes = list(self.layer_sizes)
-        clone.weights = [Tensor(w.values.copy()) for w in self.weights]
-        clone.biases = [Tensor(b.values.copy()) for b in self.biases]
+        clone = type(self).from_spec(self.spec())
+        clone.load_parameters([p.values for p in self.parameters()])
         return clone
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .autodiff import Tensor, backward_multi, stop_gradient
 from .data import make_rng
 from .distill import distill
-from .nn import AdamW, Mlp, fit
+from .nn import AdamW, Mlp, Model, fit
 
 # Frozen feature network seed; published so the perceptual distance is
 # reproducible everywhere.
@@ -57,7 +57,7 @@ class FeatureNet:
         return self(np.asarray(x, dtype=np.float32)).values
 
 
-class Discriminator:
+class Discriminator(Model):
     """Small realness scorer: an MLP on raw 2D samples, or on block-averaged
     patch features for image tasks (`pool_from` is the flattened patch side)."""
 
@@ -95,12 +95,6 @@ class Discriminator:
         """A discriminator of the architecture `spec` describes; weights to be loaded."""
         return cls(spec["in_dim"], hidden=spec["layer_sizes"][1],
                    pool_from=spec["pool_from"], pool_to=spec["pool_to"])
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def named_parameters(self):
-        return self.net.named_parameters()
 
 
 def gan_generator_loss(disc, fake_batch):

@@ -57,6 +57,42 @@ def test_student_and_discriminator_round_trip(tmp_path):
     assert loaded.pool_from == 16 and loaded.pool_to == 4
 
 
+def make_model(kind):
+    if kind == "teacher":
+        return make_teacher(seed=5)
+    if kind == "student":
+        student = StudentModel(2, 1, hidden_sizes=(8, 8), time_embed_dim=8,
+                               rng=make_rng(6))
+        student.proj_r.values += 0.25    # away from its zero start
+        return student
+    return Discriminator(256, hidden=8, rng=make_rng(7), pool_from=16, pool_to=4)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student", "discriminator"])
+def test_copy_saves_the_same_bytes_and_is_independent(tmp_path, kind):
+    model = make_model(kind)
+    clone = model.copy()
+    assert type(clone) is type(model)
+    save_checkpoint(model, {"iteration": 3}, tmp_path / "a.ckpt")
+    save_checkpoint(clone, {"iteration": 3}, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    before = [p.values.copy() for p in model.parameters()]
+    for p in clone.parameters():
+        p.values += 1.0
+    for original, p in zip(before, model.parameters()):
+        assert np.array_equal(original, p.values)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student", "discriminator"])
+def test_from_spec_alone_gives_zero_mlp_weights(kind):
+    model = make_model(kind)
+    rebuilt = type(model).from_spec(model.spec())
+    assert rebuilt.spec() == model.spec()
+    for p in rebuilt.net.parameters():
+        assert p.values.dtype == np.float32
+        assert not np.any(p.values)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"XXXX" + b"\x00" * 32)

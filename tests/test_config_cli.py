@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from splitflow import (ConfigError, ExperimentConfig, PipelineError,
-                       dump_config, emit_report, load_checkpoint, load_config,
-                       parse_config, run_pipeline, stage_seed)
+from splitflow import (ConfigError, Discriminator, ExperimentConfig,
+                       PipelineError, TeacherModel, dump_config, emit_report,
+                       load_checkpoint, load_config, make_rng, parse_config,
+                       run_pipeline, save_checkpoint, stage_seed)
 from splitflow.cli import main
 
 
@@ -46,6 +47,22 @@ def test_parse_rejects_duplicate_key():
 def test_parse_rejects_bad_value_with_location():
     with pytest.raises(ConfigError, match=":2"):
         parse_config("seed = 1\ndataset_size = many")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("eval_n_seeds = 1", "eval_n_seeds"),
+    ("stage1_branch_probability = 1.5", "stage1_branch_probability"),
+    ("teacher_iterations = -3", "teacher_iterations"),
+    ("dataset_name = foo", "dataset_name"),
+    ("stage2_batch_size = 0", "stage2_batch_size"),
+    ("teacher_condition_dropout = -0.1", "teacher_condition_dropout"),
+    ("stage2_vsd_t_min = 0.99", "stage2_vsd_t_min"),
+    ("stage2_vsd_t_max = 1.5", "stage2_vsd_t_max"),
+], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
+        "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1"])
+def test_parse_rejects_out_of_range_value_with_location(line, key):
+    with pytest.raises(ConfigError, match=rf"exp\.cfg:2: bad values? for .*'{key}'"):
+        parse_config(f"seed = 1\n{line}", path="exp.cfg")
 
 
 def test_parse_rejects_missing_equals():
@@ -209,6 +226,20 @@ def test_cli_sample_without_checkpoint_fails_cleanly(tmp_path, capsys):
     cfg_path, _ = write_tiny_config_file(tmp_path)
     assert main(["sample", "--config", cfg_path]) == 2
     assert "no student checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["teacher", "discriminator"])
+def test_cli_sample_rejects_non_student_checkpoint(tmp_path, capsys, kind):
+    cfg_path, _ = write_tiny_config_file(tmp_path)
+    model = (TeacherModel(2, 1, hidden_sizes=(8,), time_embed_dim=8, rng=make_rng(0))
+             if kind == "teacher" else Discriminator(2, hidden=8, rng=make_rng(0)))
+    ckpt = str(tmp_path / f"{kind}.ckpt")
+    save_checkpoint(model, {"iteration": 0}, ckpt)
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", cfg_path, "--checkpoint", ckpt,
+                 "--output", str(out)]) == 2
+    assert f"{ckpt} is a {kind} checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,100 @@
+"""Run fixed small experiments and print the sha256 of every artifact.
+
+A change that claims to keep behaviour byte-identical runs this script at the
+commit before it and at the change, and compares the two listings:
+
+    python3 tools/hash_artifacts.py > hashes.txt
+
+It imports splitflow from the `src/` next to this script. The runs are:
+
+- `c9`: the acceptance suite's criterion-9 config (moons, all four stages);
+- `sf_patches`: tiny-patches with SVG loss plots (13 artifacts);
+- `sf_guided`: the criterion-9 config with `stage1_guidance_scale = 2.5`;
+- `sample`: `splitflow sample --num 33` from the `c9` run at 1, 2, 3 and 7
+  steps.
+
+Each run writes to a fixed directory under /tmp, because every checkpoint
+header records the config fingerprint and the fingerprint covers
+`output_dir`. A run directory is removed before its run and after hashing.
+Output lines are `<run>/<artifact> <sha256>`.
+"""
+
+import contextlib
+import hashlib
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from splitflow import ExperimentConfig, dump_config, run_pipeline  # noqa: E402
+from splitflow.cli import main as cli_main  # noqa: E402
+from splitflow.pipeline import STAGES  # noqa: E402
+
+CRITERION_9 = dict(
+    dataset_size=128, model_hidden=16, model_layers=2, model_time_embed_dim=8,
+    teacher_iterations=40, teacher_batch_size=32,
+    stage1_iterations=40, stage1_batch_size=32,
+    stage2_iterations=10, stage2_batch_size=16,
+    eval_n_seeds=3, eval_sample_count=64, seed=7)
+
+RUNS = {
+    "c9": ExperimentConfig(**CRITERION_9, output_dir="/tmp/c9"),
+    "sf_patches": ExperimentConfig(
+        dataset_name="tiny-patches", dataset_size=64, model_hidden=16,
+        model_layers=2, model_time_embed_dim=8,
+        teacher_iterations=20, teacher_batch_size=16,
+        stage1_iterations=20, stage1_batch_size=16, stage1_condition_dropout=0.2,
+        stage2_iterations=5, stage2_batch_size=8,
+        eval_n_seeds=2, eval_sample_count=32, emit_svg=True, seed=3,
+        output_dir="/tmp/sf_patches"),
+    "sf_guided": ExperimentConfig(**CRITERION_9, stage1_guidance_scale=2.5,
+                                  output_dir="/tmp/sf_guided"),
+}
+
+SAMPLE_FROM = "c9"
+SAMPLE_STEPS = (1, 2, 3, 7)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def hash_samples(config, scratch):
+    """`splitflow sample --num 33 --steps k` from the run of `config`."""
+    cfg_path = os.path.join(scratch, "sample.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(dump_config(config))
+    for steps in SAMPLE_STEPS:
+        out = os.path.join(scratch, f"steps{steps}.csv")
+        code = cli_main(["sample", "--config", cfg_path, "--num", "33",
+                         "--steps", str(steps), "--output", out])
+        if code != 0:
+            raise SystemExit(f"sample --steps {steps} exited with {code}")
+        yield f"sample/steps={steps}", sha256(out)
+
+
+def main():
+    lines = []
+    try:
+        with tempfile.TemporaryDirectory() as scratch, \
+                contextlib.redirect_stdout(sys.stderr):
+            for name, config in RUNS.items():
+                shutil.rmtree(config.output_dir, ignore_errors=True)
+                run_pipeline(config, STAGES)
+                for artifact in sorted(os.listdir(config.output_dir)):
+                    path = os.path.join(config.output_dir, artifact)
+                    lines.append(f"{name}/{artifact} {sha256(path)}")
+            lines.extend(f"{name} {digest}" for name, digest
+                         in hash_samples(RUNS[SAMPLE_FROM], scratch))
+    finally:
+        for config in RUNS.values():
+            shutil.rmtree(config.output_dir, ignore_errors=True)
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
