@@ -24,6 +24,16 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def sigmoid_values(v):
+    """Logistic sigmoid of an array, as a new array of its dtype."""
+    # e = exp(-|v|) never overflows; s is 1/(1+e) where v >= 0 and
+    # e/(1+e) elsewhere, and since e <= 1 the numerator is max(e, v >= 0).
+    # Mask-free whole-array ops: boolean gathers, scatters and np.where
+    # cost several times the arithmetic.
+    e = np.exp(-np.abs(v))
+    return np.maximum(e, v >= 0) / (1.0 + e)
+
+
 class Tensor:
     """Array with a gradient accumulator and a link into the recording tape."""
 
@@ -176,13 +186,7 @@ class Tensor:
     # ---- nonlinearities ----------------------------------------------------
 
     def sigmoid(self):
-        # e = exp(-|v|) never overflows; s is 1/(1+e) where v >= 0 and
-        # e/(1+e) elsewhere, and since e <= 1 the numerator is max(e, v >= 0).
-        # Mask-free whole-array ops: boolean gathers, scatters and np.where
-        # cost several times the arithmetic.
-        v = self.values
-        e = np.exp(-np.abs(v))
-        s = np.maximum(e, v >= 0) / (1.0 + e)
+        s = sigmoid_values(self.values)
         out = Tensor(s, _parents=(self,))
 
         def backward(grad):

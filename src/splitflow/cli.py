@@ -3,13 +3,14 @@ diagnose-isc. Every subcommand takes --config, --seed, and --dry-run; the
 stage commands also take --force."""
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
@@ -44,7 +45,9 @@ def _load(args):
     return config
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="splitflow",
         description="Desk-scale one-step generative distillation laboratory.")
@@ -110,8 +113,7 @@ def cmd_sample(args):
     samples = multi_step_sample(student, eps, cond, args.steps)
     out = args.output or os.path.join(config.output_dir, "samples.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    records = [{f"x{j}": float(v) for j, v in enumerate(row)} for row in samples]
-    emit_report(records, out)
+    emit_report(samples, out, columns=[f"x{j}" for j in range(samples.shape[1])])
     print(out)
     return 0
 
@@ -146,15 +148,18 @@ def cmd_diagnose(args):
 
 
 def main(argv=None):
+    """Run one command; a bad config file exits 2 with a one-line message."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in STAGE_FOR_COMMAND:
-        return cmd_stage(args, STAGE_FOR_COMMAND[args.command])
-    if args.command == "sample":
-        return cmd_sample(args)
-    if args.command == "diagnose-isc":
+    try:
+        if args.command in STAGE_FOR_COMMAND:
+            return cmd_stage(args, STAGE_FOR_COMMAND[args.command])
+        if args.command == "sample":
+            return cmd_sample(args)
         return cmd_diagnose(args)
-    parser.error(f"unknown command {args.command}")
+    except ConfigError as exc:
+        print(f"splitflow: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

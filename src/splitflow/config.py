@@ -96,6 +96,7 @@ _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
 
 # The least value of each bounded count; probability and dropout keys lie in [0, 1].
 _LEAST = {"dataset_size": 1, "degrade_factor": 1, "model_hidden": 1, "model_layers": 1,
+          "model_time_embed_dim": 2,
           "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
           "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
           "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1}
@@ -127,6 +128,8 @@ def parse_config(text, path="<string>"):
                     or key == "dataset_name" and value not in DATASET_NAMES
                     or key.endswith(("_probability", "_dropout")) and not 0 <= value <= 1):
                 raise ValueError(f"{value!r} is out of range")
+            if key == "model_time_embed_dim" and value % 2:
+                raise ValueError(f"{value!r} is not even")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         setattr(config, key, value)

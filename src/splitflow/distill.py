@@ -89,10 +89,16 @@ class StudentModel(ConditionedModel):
     def average_velocity(self, z, r, t, cond):
         if not isinstance(z, Tensor):
             z = Tensor(z)
-        fused = self._embed(z, r) @ self.proj_r + self._embed(z, t) @ self.proj_t
+        fused = (Tensor(self._embed(z, r)) @ self.proj_r
+                 + Tensor(self._embed(z, t)) @ self.proj_t)
         return self._trunk(z, fused, cond)
 
     __call__ = average_velocity
+
+    def average_velocity_values(self, z, r, t, cond):
+        """`average_velocity(z, r, t, cond).values` without a tape, for a float array `z`."""
+        fused = self._embed(z, r) @ self.proj_r.values + self._embed(z, t) @ self.proj_t.values
+        return self._trunk_values(z, fused, cond)
 
     def named_parameters(self):
         return [("proj_r", self.proj_r), ("proj_t", self.proj_t)] + self.net.named_parameters()
@@ -113,10 +119,8 @@ def backward_integrate(z_t, s, t, u_field, cond=None):
 
 def _eval_field(u_field, z, r, t, cond):
     if isinstance(u_field, StudentModel):
-        out = u_field.average_velocity(z, r, t, cond)
-        return out.values
-    out = u_field(z, r, t)
-    return out.values if isinstance(out, Tensor) else np.asarray(out)
+        return u_field.average_velocity_values(z, r, t, cond)
+    return np.asarray(u_field(z, r, t))
 
 
 def isc_loss(student, z_t, interval, cond):
@@ -127,9 +131,11 @@ def isc_loss(student, z_t, interval, cond):
     detached; gradient flows only through the long-interval prediction.
     """
     r, s, t, lam = interval.r, interval.s, interval.t, interval.lam
-    u2 = _eval_field(student, z_t, s, t, cond)
+    # Taped on purpose: perfbench's test_count_metrics_repeat_exactly bounds the
+    # tape nodes per moons training step from below (see ROADMAP item 2).
+    u2 = student.average_velocity(z_t, s, t, cond).values
     z_s = z_t - (t - s) * u2
-    u1 = _eval_field(student, z_s, r, s, cond)
+    u1 = student.average_velocity(z_s, r, s, cond).values
     target = (1.0 - lam) * u1 + lam * u2
     pred = student.average_velocity(Tensor(z_t), r, t, cond)
     diff = pred - Tensor(target.astype(pred.values.dtype))
@@ -140,9 +146,9 @@ def boundary_loss(student, teacher, z_t, t, cond, w=None):
     """Degenerate-interval anchor: the student at (t, t) must match the
     teacher's instantaneous velocity (guided when `w` is set)."""
     if w is None:
-        target = teacher.velocity(z_t, t, cond).values
+        target = teacher.velocity_values(z_t, t, cond)
     else:
-        target = cfg_velocity(teacher, z_t, t, cond, w).values
+        target = cfg_velocity(teacher, z_t, t, cond, w)
     pred = student.average_velocity(Tensor(z_t), t, t, cond)
     diff = pred - Tensor(target.astype(pred.values.dtype))
     return diff.square().mean()

@@ -52,7 +52,8 @@ class SamplerConfig:
 
 class ConditionedModel(Model):
     """An MLP over concatenated (state, time embedding, condition); the shape
-    the teacher and the student share, described by `spec()`."""
+    the teacher and the student share, described by `spec()`. The trunk has a
+    taped form on Tensors and a bit-identical value twin on arrays."""
 
     def __init__(self, state_dim, cond_dim, hidden_sizes=(128, 128),
                  time_embed_dim=16, rng=None):
@@ -76,15 +77,20 @@ class ConditionedModel(Model):
                    time_embed_dim=spec["time_embed_dim"])
 
     def _embed(self, z, t):
-        """Embedding of a time scalar or one time per row, for each row of `z`."""
+        """Embedding array of a time scalar or one time per row, for each row of `z`."""
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (z.shape[0],))
-        return Tensor(time_embedding(t, self.time_embed_dim, dtype=z.dtype))
+        return time_embedding(t, self.time_embed_dim, dtype=z.dtype)
+
+    def _inputs(self, z, emb, cond):
+        """(z, time embedding, condition) for the trunk; `None` means zeros."""
+        cond = np.zeros((z.shape[0], self.cond_dim)) if cond is None else cond
+        return [z, emb, np.asarray(cond, dtype=z.dtype)]
+
+    def _trunk_values(self, z, emb, cond):
+        return self.net.apply(np.concatenate(self._inputs(z, emb, cond), axis=-1))
 
     def _trunk(self, z, emb, cond):
-        """The net on (z, time embedding, condition) concatenated; `None` means zeros."""
-        if cond is None:
-            cond = np.zeros((z.shape[0], self.cond_dim))
-        return self.net.forward(concat([z, emb, np.asarray(cond, dtype=z.dtype)], axis=-1))
+        return self.net.forward(concat(self._inputs(z, emb, cond), axis=-1))
 
 
 class TeacherModel(ConditionedModel):
@@ -95,9 +101,13 @@ class TeacherModel(ConditionedModel):
     def velocity(self, z, t, cond):
         if not isinstance(z, Tensor):
             z = Tensor(z)
-        return self._trunk(z, self._embed(z, t), cond)
+        return self._trunk(z, Tensor(self._embed(z, t)), cond)
 
     __call__ = velocity
+
+    def velocity_values(self, z, t, cond):
+        """`velocity(z, t, cond).values` without a tape, for a float array `z`."""
+        return self._trunk_values(z, self._embed(z, t), cond)
 
 
 def fm_loss(model, x, eps, t, cond):
@@ -113,9 +123,9 @@ def fm_loss(model, x, eps, t, cond):
 
 
 def cfg_velocity(model, z, t, cond, w):
-    """Classifier-free-guided velocity: w*v_cond + (1-w)*v_uncond."""
-    v_cond = model.velocity(z, t, cond)
-    v_uncond = model.velocity(z, t, None)
+    """Classifier-free-guided velocity array: w*v_cond + (1-w)*v_uncond."""
+    v_cond = model.velocity_values(z, t, cond)
+    v_uncond = model.velocity_values(z, t, None)
     return v_cond * w + v_uncond * (1.0 - w)
 
 
@@ -143,7 +153,7 @@ def model_field(model, cond):
     """Wrap a velocity model as a plain (z, t) -> v field for the sampler."""
 
     def field(z, t):
-        return model.velocity(z, t, cond).values
+        return model.velocity_values(z, t, cond)
 
     return field
 

@@ -40,7 +40,8 @@ def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
         grid = (np.arange(m) + 0.5) / m
         pa = np.quantile(pa, grid, axis=0)
         pb = np.quantile(pb, grid, axis=0)
-    w2 = np.sqrt(np.mean((pa - pb) ** 2, axis=0))
+    pa -= pb
+    w2 = np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
     return float(w2.mean())
 
 

@@ -3,7 +3,7 @@ the minibatch loop every training stage runs."""
 
 import numpy as np
 
-from .autodiff import Tensor, stop_gradient
+from .autodiff import Tensor, sigmoid_values, stop_gradient
 from .data import make_rng
 
 # AdamW's moment decay rates and denominator floor.
@@ -51,6 +51,14 @@ class Mlp:
         return h
 
     __call__ = forward
+
+    def apply(self, x):
+        """`forward(x).values` without a tape: the same numpy operations in the same order."""
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            x = x @ w.values + b.values
+            if i < len(self.weights) - 1:
+                x = x * sigmoid_values(x)
+        return x
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]

@@ -22,19 +22,18 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _format_value(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
-
-
 def emit_report(records, path, columns=None):
-    """CSV with a header row, 6-significant-digit floats, stable column order."""
-    if columns is None:
-        columns = list(records[0].keys()) if records else []
+    """CSV with a header row, 6-significant-digit floats, stable column order;
+    `records` is a list of dicts, or a 2-D array whose columns are `columns`."""
+    if isinstance(records, np.ndarray):
+        rows = records.tolist()
+    else:
+        if columns is None:
+            columns = list(records[0].keys()) if records else []
+        rows = ([rec.get(c, "") for c in columns] for rec in records)
     lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_format_value(rec.get(c, "")) for c in columns))
+    lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

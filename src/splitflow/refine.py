@@ -50,11 +50,14 @@ class FeatureNet:
         self.net = Mlp([in_dim, 64, feature_dim], rng=rng)
 
     def __call__(self, x):
-        return self.net.forward(x, detach_params=True)
+        """Taped features of a Tensor (parameters held constant); an array's by bare numpy."""
+        if isinstance(x, Tensor):
+            return self.net.forward(x, detach_params=True)
+        return self.net.apply(x)
 
     def features(self, x):
         """Plain-array evaluation for metric code."""
-        return self(np.asarray(x, dtype=np.float32)).values
+        return self.net.apply(np.asarray(x, dtype=np.float32))
 
 
 class Discriminator(Model):
@@ -120,13 +123,14 @@ def gan_discriminator_loss(disc, real_batch, fake_batch):
 
 
 def reconstruction_loss(x_hat, x, feature_net):
-    """Pixel MSE plus feature-space MSE under a frozen feature map, between
-    the generated Tensor `x_hat` and the data array `x`."""
+    """Pixel MSE plus feature-space MSE under a frozen feature map (taped on a
+    Tensor, plain numpy on an array), between the generated Tensor `x_hat`
+    and the data array `x`."""
     if x_hat.values.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_hat.values.shape} vs {x.shape}")
-    target = Tensor(x.astype(x_hat.values.dtype))
+    target = x.astype(x_hat.values.dtype)
     f_hat = feature_net(x_hat)
-    f_ref = stop_gradient(feature_net(target))
+    f_ref = feature_net(target)
     return (x_hat - target).square().mean() + (f_hat - f_ref).square().mean()
 
 
@@ -145,8 +149,8 @@ def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
     if eps is None:
         eps = rng.standard_normal(z_hat.shape).astype(np.float32)
     z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
-    v_teacher = teacher.velocity(z_t, t, cond).values
-    v_reg = regularizer.velocity(z_t, t, cond).values
+    v_teacher = teacher.velocity_values(z_t, t, cond)
+    v_reg = regularizer.velocity_values(z_t, t, cond)
     weight = schedule(t)
     return ((1.0 - t) * weight * (v_teacher - v_reg)).astype(np.float32), t
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from splitflow import (ConfigError, Discriminator, ExperimentConfig,
-                       PipelineError, TeacherModel, dump_config, emit_report,
+                       PipelineError, StudentModel, TeacherModel, dump_config, emit_report,
                        load_checkpoint, load_config, make_rng, parse_config,
                        run_pipeline, save_checkpoint, stage_seed)
+from splitflow import cli
 from splitflow.cli import main
 
 
@@ -58,8 +59,11 @@ def test_parse_rejects_bad_value_with_location():
     ("teacher_condition_dropout = -0.1", "teacher_condition_dropout"),
     ("stage2_vsd_t_min = 0.99", "stage2_vsd_t_min"),
     ("stage2_vsd_t_max = 1.5", "stage2_vsd_t_max"),
+    ("model_time_embed_dim = 7", "model_time_embed_dim"),
+    ("model_time_embed_dim = 0", "model_time_embed_dim"),
 ], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
-        "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1"])
+        "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1",
+        "odd-time-embed-dim", "zero-time-embed-dim"])
 def test_parse_rejects_out_of_range_value_with_location(line, key):
     with pytest.raises(ConfigError, match=rf"exp\.cfg:2: bad values? for .*'{key}'"):
         parse_config(f"seed = 1\n{line}", path="exp.cfg")
@@ -277,8 +281,55 @@ def test_cli_seed_override(tmp_path, capsys):
     assert config.fingerprint() not in out    # seed changes the fingerprint
 
 
-def test_cli_rejects_bad_config_file(tmp_path):
+def test_cli_rejects_bad_config_file(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed = 9\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        main(["train-teacher", "--config", str(path), "--dry-run"])
+    assert main(["train-teacher", "--config", str(path), "--dry-run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitflow: error: {path}:1: unknown key 'warp_speed'\n"
+
+
+def test_cli_bad_config_value_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("seed = 1\nmodel_time_embed_dim = 7\n")
+    assert main(["train-teacher", "--config", str(path), "--dry-run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"splitflow: error: {path}:2: bad value for "
+                   "'model_time_embed_dim': 7 is not even\n")
+
+
+def test_cli_calls_share_no_state_through_the_cached_parser(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stage", lambda args, stages: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "cmd_sample", lambda args: seen.append(vars(args)) or 0)
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["train-teacher", "--seed", "5", "--force"], ["train-teacher"],
+                 ["sample", "--num", "7", "--seed", "3"], ["sample"]):
+        assert main(argv) == 0
+    forced, plain, seven, default = seen
+    assert (forced["seed"], forced["force"]) == (5, True)
+    assert (plain["seed"], plain["force"]) == (None, False)
+    assert (seven["seed"], seven["num"]) == (3, 7)
+    assert (default["seed"], default["num"]) == (None, 16)
+    assert "force" not in default
+
+
+def test_cli_sample_csv_matches_emit_report_formatting(tmp_path, capsys, monkeypatch):
+    cfg_path, _ = write_tiny_config_file(tmp_path)
+    student = StudentModel(2, 1, hidden_sizes=(8,), time_embed_dim=8, rng=make_rng(0))
+    ckpt = str(tmp_path / "student.ckpt")
+    save_checkpoint(student, {"iteration": 0}, ckpt)
+    # negative, tiny, large and integer-valued floats
+    values = np.array([[-1.5, 1e-7], [1e6, 3.0], [-2.0, 123456.789], [-1e-7, 0.0]],
+                      dtype=np.float32)
+    monkeypatch.setattr(cli, "multi_step_sample", lambda *args: values)
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", cfg_path, "--checkpoint", ckpt,
+                 "--num", "4", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    ref = tmp_path / "ref.csv"
+    emit_report([{f"x{j}": float(v) for j, v in enumerate(row)} for row in values], str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_text().splitlines()[1:3] == ["-1.5,1e-07", "1e+06,3"]

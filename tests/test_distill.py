@@ -286,6 +286,27 @@ def test_multi_step_rejects_zero_steps():
         multi_step_sample(field, np.zeros((1, 1)), None, 0)
 
 
+@pytest.mark.parametrize("times", ["scalar", "per-row"])
+@pytest.mark.parametrize("with_cond", [True, False], ids=["cond", "no-cond"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_student_value_path_is_byte_equal_to_taped(times, with_cond, dtype):
+    _, student = make_pair(seed=4, hidden=(16, 16))
+    rng = make_rng(5)
+    student.load_parameters([rng.standard_normal(p.values.shape)
+                             for p in student.parameters()])
+    n = 33
+    z = rng.standard_normal((n, 2)).astype(dtype)
+    r, t = (0.2, 0.7) if times == "scalar" else (0.5 * rng.random(n), 0.5 + 0.5 * rng.random(n))
+    cond = rng.standard_normal((n, 1)).astype(np.float32) if with_cond else None
+    want = student.average_velocity(z, r, t, cond).values
+    got = student.average_velocity_values(z, r, t, cond)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if times == "scalar":
+        jumped = backward_integrate(z, r, t, student, cond)
+        assert jumped.tobytes() == (z - (t - r) * want).tobytes()
+
+
 # ---- splitting-identity diagnostics ---------------------------------------------
 
 def test_residual_zero_for_constant_field():

@@ -151,7 +151,7 @@ def test_cfg_w1_is_conditional():
     teacher = make_teacher()
     z = np.random.default_rng(1).normal(size=(4, 2)).astype(np.float32)
     cond = np.random.default_rng(2).normal(size=(4, 1)).astype(np.float32)
-    guided = cfg_velocity(teacher, z, 0.4, cond, 1.0).values
+    guided = cfg_velocity(teacher, z, 0.4, cond, 1.0)
     assert np.allclose(guided, teacher.velocity(z, 0.4, cond).values, atol=1e-6)
 
 
@@ -159,7 +159,7 @@ def test_cfg_w0_is_unconditional():
     teacher = make_teacher()
     z = np.random.default_rng(1).normal(size=(4, 2)).astype(np.float32)
     cond = np.random.default_rng(2).normal(size=(4, 1)).astype(np.float32)
-    guided = cfg_velocity(teacher, z, 0.4, cond, 0.0).values
+    guided = cfg_velocity(teacher, z, 0.4, cond, 0.0)
     assert np.allclose(guided, teacher.velocity(z, 0.4, None).values, atol=1e-6)
 
 
@@ -169,8 +169,44 @@ def test_cfg_affine_identity_when_branches_agree(w):
     teacher = make_teacher()
     z = np.random.default_rng(3).normal(size=(4, 2)).astype(np.float32)
     base = teacher.velocity(z, 0.3, None).values
-    guided = cfg_velocity(teacher, z, 0.3, None, w).values
+    guided = cfg_velocity(teacher, z, 0.3, None, w)
     assert np.allclose(guided, base, atol=1e-5)
+
+
+# ---- value path ----------------------------------------------------------------
+
+def same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def value_path_inputs(times, with_cond, dtype, n=33):
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(n, 2)).astype(dtype)
+    t = 0.37 if times == "scalar" else rng.random(n)
+    cond = rng.normal(size=(n, 1)).astype(np.float32) if with_cond else None
+    return z, t, cond
+
+
+@pytest.mark.parametrize("times", ["scalar", "per-row"])
+@pytest.mark.parametrize("with_cond", [True, False], ids=["cond", "no-cond"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_teacher_velocity_values_is_byte_equal_to_taped(times, with_cond, dtype):
+    teacher = make_teacher(seed=4, hidden=(16, 16))
+    z, t, cond = value_path_inputs(times, with_cond, dtype)
+    assert same_bytes(teacher.velocity_values(z, t, cond),
+                      teacher.velocity(z, t, cond).values)
+    field = model_field(teacher, cond)
+    assert same_bytes(field(z, t), teacher.velocity(z, t, cond).values)
+
+
+@pytest.mark.parametrize("times", ["scalar", "per-row"])
+@pytest.mark.parametrize("w", [0.0, 2.5, 7.5])
+def test_cfg_velocity_is_byte_equal_to_taped_mix(times, w):
+    teacher = make_teacher(seed=4, hidden=(16, 16))
+    z, t, cond = value_path_inputs(times, True, np.float32)
+    taped = teacher.velocity(z, t, cond) * w + teacher.velocity(z, t, None) * (1.0 - w)
+    assert same_bytes(cfg_velocity(teacher, z, t, cond, w), taped.values)
 
 
 # ---- flow identity diagnostic ----------------------------------------------

@@ -104,6 +104,19 @@ def test_adamw_nan_grad_names_parameter():
         opt.step()
 
 
+@pytest.mark.parametrize("sizes", [[3, 1], [3, 16, 4], [5, 32, 32, 2]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_is_byte_equal_to_taped_forward(sizes, dtype):
+    net = Mlp(sizes, rng=np.random.default_rng(3))
+    for p in net.parameters():     # nonzero biases too
+        p.values[...] = np.random.default_rng(4).normal(size=p.values.shape)
+    x = (6.0 * np.random.default_rng(5).normal(size=(37, sizes[0]))).astype(dtype)
+    want = net.forward(x).values
+    got = net.apply(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_optimizer_runs_bit_identical():
     def run():
         rng = np.random.default_rng(11)

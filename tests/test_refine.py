@@ -30,6 +30,9 @@ class ConstantField:
         z = np.asarray(z.values if isinstance(z, Tensor) else z)
         return Tensor(np.full_like(z, self.value, dtype=np.float32))
 
+    def velocity_values(self, z, t, cond):
+        return self.velocity(z, t, cond).values
+
 
 def make_models(seed=0, state_dim=2, cond_dim=1):
     teacher = TeacherModel(state_dim, cond_dim, hidden_sizes=(8, 8),
@@ -221,7 +224,8 @@ def test_reconstruction_with_linear_feature_map():
     F = rng.standard_normal((4, 6)).astype(np.float32)
 
     def linear_net(x):
-        return x @ Tensor(F)
+        # taped on the generated Tensor, plain numpy on the data array
+        return x @ (Tensor(F) if isinstance(x, Tensor) else F)
 
     x_hat = rng.standard_normal((5, 4)).astype(np.float32)
     x = rng.standard_normal((5, 4)).astype(np.float32)
