@@ -11,6 +11,8 @@ import numpy as np
 
 DATASET_NAMES = ("two-moons-conditional", "gaussian-mixture-conditional", "tiny-patches")
 PATCH_SIZE = 16
+# Rows of patches computed together by `_procedural_patches`.
+PATCH_BLOCK = 256
 
 # Fixed projection direction used to build the 1D observation for 2D tasks.
 PROJECTION_DIRECTION = np.array([0.8, 0.6], dtype=np.float64)
@@ -38,10 +40,10 @@ class ToyDataset:
 
     def cond_array(self):
         """Flattened observations, one row per sample."""
-        return self.x_l.reshape(self.x_l.shape[0], -1).astype(np.float32)
+        return self.x_l.reshape(self.x_l.shape[0], -1).astype(np.float32, copy=False)
 
     def flat_x(self):
-        return self.x_h.reshape(self.x_h.shape[0], -1).astype(np.float32)
+        return self.x_h.reshape(self.x_h.shape[0], -1).astype(np.float32, copy=False)
 
 
 def degrade(x_h, params, rng):
@@ -79,37 +81,63 @@ def _gaussian_mixture(n, rng, k=8, radius=2.0, std=0.15):
     return centers + rng.normal(0.0, std, size=(n, 2)), labels
 
 
-def _procedural_patches(n, rng):
-    """Band-limited noise, stripes, and checkers at random phase/frequency."""
+def _patch_block(kinds, rng, out):
+    """Fill `out` (one row per kind) with patches: each row's parameters are
+    drawn in row order, as one row at a time would draw them, then each kind
+    is computed for all of its rows at once."""
     side = PATCH_SIZE
     yy, xx = np.mgrid[0:side, 0:side] / side
-    patches = np.empty((n, side, side))
-    kinds = rng.integers(0, 3, size=n)
-    for i in range(n):
-        kind = kinds[i]
+    n = len(kinds)
+    # stripes: frequency, phase, angle; checkers: fx, fy, px, py;
+    # noise: real and imaginary spectrum planes, cutoff
+    stripe = np.empty((n, 3))
+    checker_f = np.empty((n, 2), dtype=np.int64)
+    checker_p = np.empty((n, 2))
+    spectrum = np.empty((n, 2, side, side))
+    cutoff = np.empty(n)
+    for i, kind in enumerate(kinds):
         if kind == 0:
-            freq = rng.uniform(2.0, 6.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            angle = rng.uniform(0.0, np.pi)
-            proj = np.cos(angle) * xx + np.sin(angle) * yy
-            p = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj + phase)
+            stripe[i] = (rng.uniform(2.0, 6.0), rng.uniform(0.0, 2.0 * np.pi),
+                         rng.uniform(0.0, np.pi))
         elif kind == 1:
-            fx = rng.integers(1, 5)
-            fy = rng.integers(1, 5)
-            px = rng.uniform(0.0, 1.0)
-            py = rng.uniform(0.0, 1.0)
-            p = ((np.floor((xx + px) * fx * 2) + np.floor((yy + py) * fy * 2)) % 2)
+            checker_f[i] = (rng.integers(1, 5), rng.integers(1, 5))
+            checker_p[i] = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
         else:
-            spectrum = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-            fy = np.fft.fftfreq(side)[:, None]
-            fx = np.fft.fftfreq(side)[None, :]
-            cutoff = rng.uniform(0.15, 0.45)
-            mask = np.sqrt(fx ** 2 + fy ** 2) <= cutoff
-            img = np.real(np.fft.ifft2(spectrum * mask))
-            lo, hi = img.min(), img.max()
-            p = (img - lo) / (hi - lo + 1e-12)
-        patches[i] = p
-    return np.clip(patches, 0.0, 1.0), kinds
+            spectrum[i, 0] = rng.normal(size=(side, side))
+            spectrum[i, 1] = rng.normal(size=(side, side))
+            cutoff[i] = rng.uniform(0.15, 0.45)
+    rows = kinds == 0
+    freq, phase, angle = (col[:, None, None] for col in stripe[rows].T)
+    proj = np.cos(angle) * xx + np.sin(angle) * yy
+    out[rows] = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj + phase)
+    rows = kinds == 1
+    fx, fy = (col[:, None, None] for col in checker_f[rows].T)
+    px, py = (col[:, None, None] for col in checker_p[rows].T)
+    out[rows] = (np.floor((xx + px) * fx * 2) + np.floor((yy + py) * fy * 2)) % 2
+    rows = kinds == 2
+    planes = spectrum[rows]
+    radius = np.sqrt(np.fft.fftfreq(side)[None, :] ** 2 + np.fft.fftfreq(side)[:, None] ** 2)
+    mask = radius <= cutoff[rows, None, None]
+    img = np.real(np.fft.ifft2((planes[:, 0] + 1j * planes[:, 1]) * mask))
+    lo = img.min(axis=(1, 2), keepdims=True)
+    hi = img.max(axis=(1, 2), keepdims=True)
+    out[rows] = (img - lo) / (hi - lo + 1e-12)
+
+
+def _procedural_patches(n, rng):
+    """Band-limited noise, stripes, and checkers at random phase/frequency.
+
+    All kinds are drawn first, then each row's parameters in row order; the
+    patches are computed PATCH_BLOCK rows at a time, so temporaries stay
+    bounded by the block whatever `n` is.
+    """
+    patches = np.empty((n, PATCH_SIZE, PATCH_SIZE))
+    kinds = rng.integers(0, 3, size=n)
+    for start in range(0, n, PATCH_BLOCK):
+        stop = start + PATCH_BLOCK
+        _patch_block(kinds[start:stop], rng, patches[start:stop])
+    np.clip(patches, 0.0, 1.0, out=patches)
+    return patches, kinds
 
 
 def generate_dataset(name, n, seed, degradation=None):

@@ -10,6 +10,8 @@ from .distill import one_step_sample
 
 DEFAULT_N_PROJECTIONS = 256
 PROJECTION_SEED = 314159
+# Projection columns `sliced_wasserstein` projects, sorts and reduces at once.
+SW_BLOCK = 32
 
 
 def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
@@ -30,6 +32,19 @@ def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
     dim = a.shape[1]
     dirs = rng.standard_normal((dim, n_projections))
     dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+    # A block of columns at a time, so memory does not grow with
+    # `n_projections`. The last block takes the remainder too: numpy sums a
+    # one-column block pairwise instead of row by row, and its distance would
+    # move in the last bit.
+    starts = range(0, max(n_projections - SW_BLOCK, 0) + 1, SW_BLOCK)
+    stops = [*starts[1:], n_projections]
+    w2 = np.concatenate([_projected_w2(a, b, dirs[:, lo:hi])
+                         for lo, hi in zip(starts, stops)])
+    return float(w2.mean())
+
+
+def _projected_w2(a, b, dirs):
+    """1D 2-Wasserstein distance along each column of `dirs`."""
     pa = a @ dirs
     pb = b @ dirs
     pa.sort(axis=0)
@@ -41,8 +56,7 @@ def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
         pa = np.quantile(pa, grid, axis=0)
         pb = np.quantile(pb, grid, axis=0)
     pa -= pb
-    w2 = np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
-    return float(w2.mean())
+    return np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
 
 
 def psnr(a, b):

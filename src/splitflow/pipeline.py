@@ -1,6 +1,7 @@
 """Pipeline orchestration: train-teacher -> distill -> refine -> eval, with
 checkpoint persistence, CSV reports, and optional SVG loss plots."""
 
+import functools
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -73,9 +74,14 @@ def _dataset_for(config, seed, size):
 
 
 def _train_data(config):
+    """The training set `(x, cond)`, read-only: the stages of one
+    `run_pipeline` call share it, so an in-place write must not leak."""
     seed = stage_seed(config.seed, "dataset") + config.dataset_seed_offset
     ds = _dataset_for(config, seed, config.dataset_size)
-    return ds.flat_x(), ds.cond_array()
+    x, cond = ds.flat_x(), ds.cond_array()
+    x.flags.writeable = False
+    cond.flags.writeable = False
+    return x, cond
 
 
 def _eval_data(config):
@@ -84,8 +90,8 @@ def _eval_data(config):
     return ds.flat_x(), ds.cond_array()
 
 
-def _run_teacher(config):
-    x, cond = _train_data(config)
+def _run_teacher(config, train_data):
+    x, cond = train_data()
     tc = TeacherTrainConfig(
         iterations=config.teacher_iterations,
         batch_size=config.teacher_batch_size,
@@ -100,8 +106,8 @@ def _run_teacher(config):
             "losses_teacher.csv": (records, ["iteration", "loss"])}
 
 
-def _run_distill(config, teacher):
-    x, cond = _train_data(config)
+def _run_distill(config, train_data, teacher):
+    x, cond = train_data()
     sc = Stage1Config(
         branch_probability=config.stage1_branch_probability,
         guidance_scale=config.stage1_guidance_scale,
@@ -116,8 +122,8 @@ def _run_distill(config, teacher):
             "losses_stage1.csv": (records, ["iteration", "loss", "branch"])}
 
 
-def _run_refine(config, teacher, student):
-    x, cond = _train_data(config)
+def _run_refine(config, train_data, teacher, student):
+    x, cond = train_data()
     state_dim = x.shape[1]
     disc = Discriminator(
         state_dim, rng=make_rng(stage_seed(config.seed, "discriminator")),
@@ -147,7 +153,7 @@ def _run_refine(config, teacher, student):
                                             "vsd_grad_norm", "reg_diff", "adv_d"])}
 
 
-def _run_eval(config, student):
+def _run_eval(config, train_data, student):
     report = evaluate_student(student, config)
     return {"metrics.csv": (report.rows(), ["metric", "seed", "value"]),
             "metrics_summary.csv": (report.summary_rows(), ["metric", "mean", "std"])}
@@ -158,10 +164,13 @@ class Stage:
     """One pipeline stage.
 
     `needs` holds one tuple per input checkpoint: the candidate file names,
-    the first one present being loaded. `run(config, *inputs)` returns, for
-    each name in `outputs`, a `(model, header)` pair for a checkpoint or a
-    `(records, columns)` pair for a CSV. `plot` is the loss column drawn to
-    an SVG next to the stage's CSV when `emit_svg` is set.
+    the first one present being loaded. `run(config, train_data, *inputs)`
+    returns, for each name in `outputs`, a `(model, header)` pair for a
+    checkpoint or a `(records, columns)` pair for a CSV. `train_data()`
+    returns the training set `(x, cond)`: it is built at the first call, and
+    every stage of one `run_pipeline` call gets the same read-only arrays.
+    `plot` is the loss column drawn to an SVG next to the stage's CSV when
+    `emit_svg` is set.
 
     The `run` functions look the training functions up as module globals at
     call time, so a caller that rebinds them (a tracer, a test) sees them.
@@ -228,6 +237,7 @@ def run_pipeline(config, stages, force=False):
     if unknown:
         raise PipelineError(f"unknown stages {sorted(unknown)}")
     os.makedirs(config.output_dir, exist_ok=True)
+    train_data = functools.cache(lambda: _train_data(config))
     produced = []
     for stage in STAGE_TABLE:
         if stage.name not in stages:
@@ -235,7 +245,7 @@ def run_pipeline(config, stages, force=False):
         paths = [os.path.join(config.output_dir, name) for name in stage.outputs]
         if force or not all(os.path.exists(path) for path in paths):
             inputs = [_load_input(config, candidates) for candidates in stage.needs]
-            _write_outputs(config, stage, stage.run(config, *inputs))
+            _write_outputs(config, stage, stage.run(config, train_data, *inputs))
         produced.extend(paths)
     return produced
 

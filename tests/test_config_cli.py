@@ -1,4 +1,6 @@
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from splitflow import (ConfigError, Discriminator, ExperimentConfig,
                        PipelineError, StudentModel, TeacherModel, dump_config, emit_report,
                        load_checkpoint, load_config, make_rng, parse_config,
                        run_pipeline, save_checkpoint, stage_seed)
-from splitflow import cli
+from splitflow import cli, pipeline
 from splitflow.cli import main
+from splitflow.pipeline import STAGES
 
 
 # ---- config parsing ------------------------------------------------------------
@@ -157,6 +160,39 @@ def test_pipeline_rerun_is_idempotent(tmp_path):
     run_pipeline(config, ["teacher"])    # skipped: outputs exist
     assert open(path, "rb").read() == before
     assert os.path.getmtime(path) == mtime
+
+
+def test_pipeline_builds_the_training_set_once_per_call(tmp_path, monkeypatch):
+    sizes = []
+    build = pipeline.generate_dataset
+
+    def counting_build(name, n, seed, degradation=None):
+        sizes.append(n)
+        return build(name, n, seed, degradation=degradation)
+
+    monkeypatch.setattr(pipeline, "generate_dataset", counting_build)
+    config = tiny_config(tmp_path)
+    run_pipeline(config, STAGES)
+    # one training set for teacher, distill and refine, then the eval set
+    assert sizes == [config.dataset_size, config.eval_sample_count]
+    run = Path(config.output_dir)
+    together = {path.name: path.read_bytes() for path in run.iterdir()}
+    shutil.rmtree(config.output_dir)
+    sizes.clear()
+    for stage in STAGES:
+        run_pipeline(config, [stage])
+    # a call that runs eval alone builds no training set
+    assert sizes == [config.dataset_size] * 3 + [config.eval_sample_count]
+    for name, data in together.items():
+        assert (run / name).read_bytes() == data, name
+
+
+def test_pipeline_training_set_is_read_only(tmp_path):
+    x, cond = pipeline._train_data(tiny_config(tmp_path))
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cond[0, 0] = 1.0
 
 
 def test_pipeline_missing_prior_stage_named(tmp_path):

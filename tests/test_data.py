@@ -1,8 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from splitflow import DegradationParams, degrade, generate_dataset, make_rng
-from splitflow.data import DATASET_NAMES
+from splitflow.data import DATASET_NAMES, _procedural_patches
 
 
 def test_generation_is_bitwise_deterministic():
@@ -86,3 +89,59 @@ def test_degradation_contracts_information():
     db = degrade(b, params, make_rng(7))
     assert not np.array_equal(a, b)
     assert np.array_equal(da, db)
+
+
+# ---- patch generator --------------------------------------------------------
+
+# sha256 of the x_h, x_l and labels bytes of generate_dataset("tiny-patches",
+# n, seed), recorded from the generator that built one patch per loop pass.
+# n = 1, 2 and 257 leave a block without some kind; 255/256/257 sit on the
+# block edge; (4096, 100) and (512, 200) are the acceptance suite's sets.
+PATCH_DIGESTS = {
+    (1, 0): ("a572cf3cee8c8b5fc9433c1c850318826c995503c2ec20a0587c143bd21e1557",
+             "7aaa309c2d5f0bcf8479ae675d35a91a46c0cfdb8b16be0061d7b9dd1ce4e3ba",
+             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    (2, 1): ("f1edd81c422c653de5bfe68b451562628c584669a03c79223202cdbf179266b4",
+             "b3d250509518428c0f5db66c668204c0a3179573319e5e4bd409299407a748b9",
+             "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+    (255, 2): ("4ed468010dadf1aa994db87f49e7d06584a44da4bb17650cc36d013c180aa15e",
+               "6f5cd40b81e7c273e701ba93d5ba5c0f478bc3c90a73207d37bc355d12e9e02a",
+               "e47dfa0912cb340ff50dc233c9ad23711c2c491792abdc6595ee2c9a1a96121e"),
+    (256, 3): ("4041e7406f1e0d5e4305cf51fa46ae3610e4f1bf694338a21d6b2cd924674b8c",
+               "6a43db3e0a692efca42301ab395011892969e4a4d069e6482a9dda4bca98794a",
+               "e2e589d638c6efda0fb03a4169d97dba9eb483c4f92dee4fe40b82ecfdc23367"),
+    (257, 4): ("afb09d1e5a4cf3728eaccac725274b51042d2e05959af584e6f0f39f24a39aa2",
+               "1eb2668de6b54ed73308df6fa4ae960bea78c5ed8b27554329efdf31d7f0edf6",
+               "1ccdb14ef079190a09ab65b4bfc89bbfc0268e79df9fa2b88f5197e235585412"),
+    (4096, 100): ("3aed53bc05e3b568445192329a24dc47a42f11a246714f5392cca4573d0eebd9",
+                  "1f26e7db1232be773e5272f2f8f724c9a901dc37ca351b483281edac6d7daec3",
+                  "8108adf8ab0705b424a28a084ca3de3ef55c375ddda7bb905e95ccac3bae60e2"),
+    (512, 200): ("2d0808c21bf4a80c45f8d2d6ecb591a6d8d23bf481a3114b20a761149c58274a",
+                 "41b21db6c036a4d531497287dc6ab7d8a741edc0a2011725d3190ce0cab9fad8",
+                 "86d55aa4bacf4746d9493cab796db22cf2a4bdadba914d584eacc98d25fa8d31"),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PATCH_DIGESTS))
+def test_patches_keep_their_bytes(n, seed):
+    ds = generate_dataset("tiny-patches", n, seed)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (ds.x_h, ds.x_l, ds.labels))
+    assert got == PATCH_DIGESTS[n, seed]
+
+
+def test_patch_build_temporaries_are_bounded_by_the_block():
+    # beyond the float64 output itself; a build that scales with n (a
+    # clipped copy of the whole output, say) takes 8 MiB more at 4096 rows
+    tracemalloc.start()
+    try:
+        patches, _ = _procedural_patches(4096, make_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - patches.nbytes < 4 * 2**20
+
+
+def test_flat_views_do_not_copy_float32_data():
+    ds = generate_dataset("tiny-patches", 8, seed=1)
+    assert np.shares_memory(ds.flat_x(), ds.x_h)
+    assert np.shares_memory(ds.cond_array(), ds.x_l)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,44 @@ def test_sw_default_projection_basis_is_fixed():
     a = rng.standard_normal((50, 2))
     b = rng.standard_normal((50, 2))
     assert sliced_wasserstein(a, b) == sliced_wasserstein(a, b)
+
+
+# Exact values recorded when every projection column was handled at once:
+# (equal counts 300/300, unequal counts 300/77). 33, 65 and 100 are not
+# multiples of the projection block, and 1 is the one-column case.
+SW_VALUES = {
+    1: (0.1421279508456826, 0.21193161973050592),
+    33: (0.34477055860467093, 0.2136706020086852),
+    65: (0.4587562697021202, 0.20920331634849137),
+    100: (0.43665836784176393, 0.20818670781696283),
+    256: (0.4338207800800518, 0.20544299554242798),
+}
+
+
+@pytest.mark.parametrize("n_projections", sorted(SW_VALUES))
+def test_sw_keeps_its_exact_values(n_projections):
+    rng = make_rng(11)
+    a = rng.standard_normal((300, 5))
+    b = rng.standard_normal((300, 5)) + 0.5
+    c = rng.standard_normal((77, 5))
+    got = (sliced_wasserstein(a, b, n_projections=n_projections),
+           sliced_wasserstein(a, c, n_projections=n_projections))
+    assert got == SW_VALUES[n_projections]
+
+
+def test_sw_memory_does_not_grow_with_projections():
+    # the projected arrays stay a block of columns wide: 1024 projections of
+    # 2048 points would take 16 MiB per projected set at once
+    rng = make_rng(6)
+    a = rng.standard_normal((2048, 2))
+    b = rng.standard_normal((2048, 2))
+    tracemalloc.start()
+    try:
+        sliced_wasserstein(a, b, n_projections=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---- PSNR -----------------------------------------------------------------------

@@ -11,12 +11,18 @@ It imports splitflow from the `src/` next to this script. The runs are:
 - `sf_patches`: tiny-patches with SVG loss plots (13 artifacts);
 - `sf_guided`: the criterion-9 config with `stage1_guidance_scale = 2.5`;
 - `sample`: `splitflow sample --num 33` from the `c9` run at 1, 2, 3 and 7
-  steps.
+  steps;
+- `data`: the acceptance suite's four datasets, built straight by
+  `generate_dataset` (moons 8192 rows at seed 1001 and 4096 at 2002, patches
+  4096 at 100 and 512 at 200). Each line hashes the bytes of `x_h`, `x_l`
+  and `labels`, in that order. The patch sets span many row blocks of the
+  patch generator, where the 64-row `sf_patches` run fills only part of one.
 
 Each run writes to a fixed directory under /tmp, because every checkpoint
 header records the config fingerprint and the fingerprint covers
 `output_dir`. A run directory is removed before its run and after hashing.
-Output lines are `<run>/<artifact> <sha256>`.
+Output lines are `<run>/<artifact> <sha256>`, and
+`data/<name>-<n>-<seed> <sha256>` for the datasets.
 """
 
 import contextlib
@@ -29,7 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splitflow import ExperimentConfig, dump_config, run_pipeline  # noqa: E402
+from splitflow import (ExperimentConfig, dump_config,  # noqa: E402
+                       generate_dataset, run_pipeline)
 from splitflow.cli import main as cli_main  # noqa: E402
 from splitflow.pipeline import STAGES  # noqa: E402
 
@@ -57,6 +64,11 @@ RUNS = {
 SAMPLE_FROM = "c9"
 SAMPLE_STEPS = (1, 2, 3, 7)
 
+DATASETS = (("two-moons-conditional", 8192, 1001),
+            ("two-moons-conditional", 4096, 2002),
+            ("tiny-patches", 4096, 100),
+            ("tiny-patches", 512, 200))
+
 
 def sha256(path):
     with open(path, "rb") as fh:
@@ -77,6 +89,16 @@ def hash_samples(config, scratch):
         yield f"sample/steps={steps}", sha256(out)
 
 
+def hash_datasets():
+    """sha256 of each dataset's `x_h`, `x_l` and `labels` bytes."""
+    for name, n, seed in DATASETS:
+        ds = generate_dataset(name, n, seed)
+        digest = hashlib.sha256()
+        for array in (ds.x_h, ds.x_l, ds.labels):
+            digest.update(array.tobytes())
+        yield f"data/{name}-{n}-{seed}", digest.hexdigest()
+
+
 def main():
     lines = []
     try:
@@ -90,6 +112,7 @@ def main():
                     lines.append(f"{name}/{artifact} {sha256(path)}")
             lines.extend(f"{name} {digest}" for name, digest
                          in hash_samples(RUNS[SAMPLE_FROM], scratch))
+            lines.extend(f"{name} {digest}" for name, digest in hash_datasets())
     finally:
         for config in RUNS.values():
             shutil.rmtree(config.output_dir, ignore_errors=True)
