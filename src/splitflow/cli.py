@@ -9,12 +9,12 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
-from .pipeline import STAGE_TABLE, STAGES, _eval_data, emit_report, run_pipeline
+from .pipeline import STAGE_TABLE, STAGES, PipelineError, _eval_data, emit_report, run_pipeline
 
 STAGE_FOR_COMMAND = {
     **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
@@ -148,7 +148,8 @@ def cmd_diagnose(args):
 
 
 def main(argv=None):
-    """Run one command; a bad config file exits 2 with a one-line message."""
+    """Run one command; a bad config file, a missing stage input or a malformed
+    checkpoint exits 2 with a one-line message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -157,7 +158,7 @@ def main(argv=None):
         if args.command == "sample":
             return cmd_sample(args)
         return cmd_diagnose(args)
-    except ConfigError as exc:
+    except (ConfigError, PipelineError, CheckpointFormatError) as exc:
         print(f"splitflow: error: {exc}", file=sys.stderr)
         return 2
 

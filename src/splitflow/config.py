@@ -7,7 +7,7 @@ failure mode in reproduction work, so the parser refuses them outright.
 import hashlib
 from dataclasses import dataclass, fields
 
-from .data import DATASET_NAMES
+from .data import DATASET_NAMES, PATCH_SIZE
 
 
 def _opt_float(text):
@@ -130,6 +130,8 @@ def parse_config(text, path="<string>"):
                 raise ValueError(f"{value!r} is out of range")
             if key == "model_time_embed_dim" and value % 2:
                 raise ValueError(f"{value!r} is not even")
+            if key == "stage2_schedule" and value != "constant-1":
+                raise ValueError(f"{value!r} is not 'constant-1', the one schedule")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         setattr(config, key, value)
@@ -137,6 +139,10 @@ def parse_config(text, path="<string>"):
         line = max(seen.get("stage2_vsd_t_min", 0), seen.get("stage2_vsd_t_max", 0))
         raise ConfigError(f"{path}:{line}: bad values for 'stage2_vsd_t_min' and "
                           "'stage2_vsd_t_max': expected 0 <= t_min <= t_max <= 1")
+    if config.dataset_name == "tiny-patches" and PATCH_SIZE % config.degrade_factor:
+        line = max(seen.get("dataset_name", 0), seen.get("degrade_factor", 0))
+        raise ConfigError(f"{path}:{line}: bad values for 'dataset_name' and "
+                          f"'degrade_factor': tiny-patches needs a factor dividing {PATCH_SIZE}")
     return config
 
 

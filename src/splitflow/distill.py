@@ -9,7 +9,7 @@ import numpy as np
 from .autodiff import Tensor
 # perfbench's tracer test checks that this binding of `time_embedding` is wrapped.
 from .flow import ConditionedModel, cfg_velocity, time_embedding  # noqa: F401
-from .nn import AdamW, fit
+from .nn import AdamW, descend, fit, mse
 
 
 @dataclass
@@ -137,9 +137,7 @@ def isc_loss(student, z_t, interval, cond):
     z_s = z_t - (t - s) * u2
     u1 = student.average_velocity(z_s, r, s, cond).values
     target = (1.0 - lam) * u1 + lam * u2
-    pred = student.average_velocity(Tensor(z_t), r, t, cond)
-    diff = pred - Tensor(target.astype(pred.values.dtype))
-    return diff.square().mean()
+    return mse(student.average_velocity(Tensor(z_t), r, t, cond), target)
 
 
 def boundary_loss(student, teacher, z_t, t, cond, w=None):
@@ -149,9 +147,7 @@ def boundary_loss(student, teacher, z_t, t, cond, w=None):
         target = teacher.velocity_values(z_t, t, cond)
     else:
         target = cfg_velocity(teacher, z_t, t, cond, w)
-    pred = student.average_velocity(Tensor(z_t), t, t, cond)
-    diff = pred - Tensor(target.astype(pred.values.dtype))
-    return diff.square().mean()
+    return mse(student.average_velocity(Tensor(z_t), t, t, cond), target)
 
 
 def distill(student, teacher, x, cond, rng, branch_probability,
@@ -182,13 +178,7 @@ def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
                            config.branch_probability,
                            config.full_interval_probability,
                            w=config.guidance_scale)
-    value = float(loss.values)
-    if not np.isfinite(value):
-        raise FloatingPointError(f"non-finite loss in {branch} branch")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return value, branch
+    return descend(opt, loss, f"loss in {branch} branch"), branch
 
 
 def train_student(teacher, x_data, cond_data, config):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat
 from .data import make_rng
-from .nn import AdamW, Mlp, Model, fit
+from .nn import AdamW, Mlp, Model, descend, fit, mse
 
 
 def time_embedding(t, dim, dtype=np.float32):
@@ -117,9 +117,7 @@ def fm_loss(model, x, eps, t, cond):
         raise ValueError("fm_loss requires a nonempty batch")
     z_t = interpolate(x, eps, t)
     pred = model.velocity(z_t, t, cond)
-    target = np.asarray(eps) - x
-    diff = pred - Tensor(target.astype(pred.values.dtype))
-    return diff.square().mean()
+    return mse(pred, np.asarray(eps) - x)
 
 
 def cfg_velocity(model, z, t, cond, w):
@@ -194,13 +192,7 @@ def train_teacher(x_data, cond_data, config, model=None):
         eps = rng.standard_normal(x.shape).astype(np.float32)
         t = rng.random(x.shape[0])
         loss = fm_loss(model, x, eps, t, cond)
-        value = float(loss.values)
-        if not np.isfinite(value):
-            raise FloatingPointError("non-finite flow-matching loss")
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        return {"loss": value}
+        return {"loss": descend(opt, loss, "flow-matching loss")}
 
     records = fit("teacher", step, x_data, cond_data,
                   iterations=config.iterations, batch_size=config.batch_size,

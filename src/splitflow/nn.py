@@ -1,9 +1,10 @@
-"""Feed-forward networks, a decoupled-weight-decay adaptive optimizer, and
-the minibatch loop every training stage runs."""
+"""Feed-forward networks, a decoupled-weight-decay adaptive optimizer, the
+regression loss and update step every training stage ends with, and the
+minibatch loop every training stage runs."""
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid_values, stop_gradient
+from .autodiff import Tensor, backward_multi, sigmoid_values, stop_gradient
 from .data import make_rng
 
 # AdamW's moment decay rates and denominator floor.
@@ -138,6 +139,28 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def mse(pred, target):
+    """Mean squared error of the Tensor `pred` against a constant array `target`."""
+    return (pred - Tensor(target.astype(pred.values.dtype))).square().mean()
+
+
+def descend(opt, loss, what, *seeds):
+    """One update of `opt` down the scalar `loss`; returns the loss value.
+
+    A non-finite value raises `FloatingPointError("non-finite <what>")` before
+    any state changes. Otherwise gradients are cleared, one backward sweep runs
+    from `loss` and from each extra `(tensor, gradient)` seed, and `opt` steps.
+    Gradients are left in place after the step; the next update clears them.
+    """
+    value = float(loss.values)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"non-finite {what}")
+    opt.zero_grad()
+    backward_multi([(loss, np.ones_like(loss.values)), *seeds])
+    opt.step()
+    return value
 
 
 def fit(stage, step, x_data, cond_data, *, iterations, batch_size, seed,

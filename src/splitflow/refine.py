@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward_multi, stop_gradient
+from .autodiff import Tensor, stop_gradient
 from .data import make_rng
 from .distill import distill
-from .nn import AdamW, Mlp, Model, fit
+from .nn import AdamW, Mlp, Model, descend, fit, mse
 
 # Frozen feature network seed; published so the perceptual distance is
 # reproducible everywhere.
@@ -129,9 +129,7 @@ def reconstruction_loss(x_hat, x, feature_net):
     if x_hat.values.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_hat.values.shape} vs {x.shape}")
     target = x.astype(x_hat.values.dtype)
-    f_hat = feature_net(x_hat)
-    f_ref = feature_net(target)
-    return (x_hat - target).square().mean() + (f_hat - f_ref).square().mean()
+    return mse(x_hat, target) + mse(feature_net(x_hat), feature_net(target))
 
 
 def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
@@ -163,9 +161,7 @@ def regularizer_loss(regularizer, z_hat, cond, rng, t=None, eps=None):
     if eps is None:
         eps = rng.standard_normal(z_hat.shape).astype(np.float32)
     z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
-    pred = regularizer.velocity(z_t, t, cond)
-    target = (np.asarray(eps) - z_hat).astype(pred.values.dtype)
-    return (pred - Tensor(target)).square().mean()
+    return mse(regularizer.velocity(z_t, t, cond), np.asarray(eps) - z_hat)
 
 
 @dataclass
@@ -249,33 +245,16 @@ class Stage2Trainer:
 
         scalar = (l_isc * weights.lambda1 + l_rec * weights.lambda2
                   + l_gen * weights.lambda4)
-        self.opt_student.zero_grad()
-        seeds = [(scalar, np.ones_like(scalar.values))]
-        if weights.lambda3 != 0.0:
-            seeds.append((z_hat, (weights.lambda3 / n) * vsd_grad))
-        backward_multi(seeds)
-        self.opt_student.step()
-        self.opt_student.zero_grad()
+        vsd_seed = [(z_hat, (weights.lambda3 / n) * vsd_grad)] if weights.lambda3 else []
+        descend(self.opt_student, scalar, "student loss", *vsd_seed)
 
         # --- regularizer sub-step -------------------------------------------
         l_reg = regularizer_loss(self.regularizer, z_hat.values, cond, rng)
-        breakdown["reg_diff"] = float(l_reg.values)
-        if not np.isfinite(breakdown["reg_diff"]):
-            raise FloatingPointError("non-finite loss component 'reg_diff'")
-        self.opt_reg.zero_grad()
-        l_reg.backward()
-        self.opt_reg.step()
-        self.opt_reg.zero_grad()
+        breakdown["reg_diff"] = descend(self.opt_reg, l_reg, "loss component 'reg_diff'")
 
         # --- discriminator sub-step -------------------------------------------
         l_disc = gan_discriminator_loss(disc, x, z_hat.values)
-        breakdown["adv_d"] = float(l_disc.values)
-        if not np.isfinite(breakdown["adv_d"]):
-            raise FloatingPointError("non-finite loss component 'adv_d'")
-        self.opt_disc.zero_grad()
-        l_disc.backward()
-        self.opt_disc.step()
-        self.opt_disc.zero_grad()
+        breakdown["adv_d"] = descend(self.opt_disc, l_disc, "loss component 'adv_d'")
 
         return breakdown
 

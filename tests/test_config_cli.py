@@ -64,12 +64,24 @@ def test_parse_rejects_bad_value_with_location():
     ("stage2_vsd_t_max = 1.5", "stage2_vsd_t_max"),
     ("model_time_embed_dim = 7", "model_time_embed_dim"),
     ("model_time_embed_dim = 0", "model_time_embed_dim"),
+    ("stage2_schedule = cosine", "stage2_schedule"),
+    ("dataset_name = tiny-patches\ndegrade_factor = 3", "degrade_factor"),
 ], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
         "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1",
-        "odd-time-embed-dim", "zero-time-embed-dim"])
+        "odd-time-embed-dim", "zero-time-embed-dim", "unknown-stage2-schedule",
+        "patch-side-not-divisible"])
 def test_parse_rejects_out_of_range_value_with_location(line, key):
-    with pytest.raises(ConfigError, match=rf"exp\.cfg:2: bad values? for .*'{key}'"):
+    lineno = 1 + len(line.splitlines())    # the last line read names the error
+    with pytest.raises(ConfigError, match=rf"exp\.cfg:{lineno}: bad values? for .*'{key}'"):
         parse_config(f"seed = 1\n{line}", path="exp.cfg")
+
+
+def test_parse_checks_degrade_factor_against_the_patch_side():
+    # the later of the two lines is named, whichever comes first
+    with pytest.raises(ConfigError, match=r"c:3: .*'dataset_name' and 'degrade_factor'"):
+        parse_config("degrade_factor = 3\nseed = 1\ndataset_name = tiny-patches", path="c")
+    assert parse_config("dataset_name = tiny-patches\ndegrade_factor = 4").degrade_factor == 4
+    assert parse_config("degrade_factor = 3").degrade_factor == 3    # moons: no patch side
 
 
 def test_parse_rejects_missing_equals():
@@ -334,6 +346,30 @@ def test_cli_bad_config_value_exits_2_with_one_line(tmp_path, capsys):
     assert out == ""
     assert err == (f"splitflow: error: {path}:2: bad value for "
                    "'model_time_embed_dim': 7 is not even\n")
+
+
+def test_cli_stage_without_its_input_exits_2_with_one_line(tmp_path, capsys):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    assert main(["distill", "--config", cfg_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("splitflow: error: missing input checkpoint 'teacher.ckpt'; "
+                   "run the 'teacher' stage first\n")
+
+
+def test_cli_sample_truncated_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    cfg_path, _ = write_tiny_config_file(tmp_path)
+    ckpt = tmp_path / "student.ckpt"
+    save_checkpoint(StudentModel(2, 1, hidden_sizes=(8,), time_embed_dim=8, rng=make_rng(0)),
+                    {"iteration": 0}, str(ckpt))
+    ckpt.write_bytes(ckpt.read_bytes()[:40])
+    out_csv = tmp_path / "samples.csv"
+    assert main(["sample", "--config", cfg_path, "--checkpoint", str(ckpt),
+                 "--output", str(out_csv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitflow: error: truncated checkpoint metadata in {ckpt}\n"
+    assert not out_csv.exists()
 
 
 def test_cli_calls_share_no_state_through_the_cached_parser(monkeypatch):

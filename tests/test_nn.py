@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from splitflow import AdamW, Mlp, Tensor
+from splitflow import AdamW, Mlp, Tensor, backward_multi
+from splitflow.nn import descend
 
 
 def sigmoid(v):
@@ -132,3 +133,56 @@ def test_optimizer_runs_bit_identical():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+# ---- descend: the one update step ------------------------------------------------
+
+def descend_setup(seed=0):
+    net = Mlp([2, 8, 1], rng=np.random.default_rng(seed))
+    opt = AdamW(net.named_parameters(), learning_rate=1e-2, weight_decay=1e-2)
+    x = np.random.default_rng(seed + 1).normal(size=(8, 2)).astype(np.float32)
+    return net, opt, x
+
+
+def test_descend_non_finite_loss_changes_nothing():
+    net, opt, x = descend_setup()
+    descend(opt, net.forward(x).square().mean(), "test loss")
+    state = [a.copy() for a in [p.values for p in net.parameters()] + opt.m + opt.v]
+    loss = net.forward(x).square().mean() * float("nan")
+    with pytest.raises(FloatingPointError, match="^non-finite test loss$"):
+        descend(opt, loss, "test loss")
+    assert opt.step_count == 1
+    after = [p.values for p in net.parameters()] + opt.m + opt.v
+    for a, b in zip(state, after, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_descend_clears_leftover_gradients():
+    def run(leftover):
+        net, opt, x = descend_setup()
+        if leftover:
+            net.forward(x).sum().backward()
+        value = descend(opt, net.forward(x).square().mean(), "test loss")
+        return value, [p.values.copy() for p in net.parameters()]
+
+    (v_clean, clean), (v_stale, stale) = run(False), run(True)
+    assert v_clean == v_stale
+    for a, b in zip(clean, stale, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_descend_extra_seed_matches_backward_multi_then_step():
+    def run(use_descend):
+        net, opt, x = descend_setup()
+        out = net.forward(x)
+        loss = out.square().mean()
+        seed = np.full(out.values.shape, 0.25, dtype=np.float32)
+        if use_descend:
+            descend(opt, loss, "test loss", (out, seed))
+        else:
+            backward_multi([(loss, np.ones_like(loss.values)), (out, seed)])
+            opt.step()
+        return [p.values.copy() for p in net.parameters()]
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert a.tobytes() == b.tobytes()

@@ -271,7 +271,9 @@ class GradCapture:
             self.probe()
 
 
-def run_capture_step(weights, seed=7):
+def run_capture_step(weights, seed=7, probe=None):
+    """The student gradients of one trainer step, read by a GradCapture in place
+    of the student's optimizer; `probe(teacher, disc)` runs when it steps."""
     teacher, student, regularizer, disc = make_models(seed=1)
     config = Stage2Config(weights=weights, batch_size=8)
     rng = make_rng(seed)
@@ -279,16 +281,18 @@ def run_capture_step(weights, seed=7):
     cond = make_rng(11).standard_normal((8, 1)).astype(np.float32)
     trainer = Stage2Trainer(student, teacher, regularizer, disc, config,
                             feature_net=FeatureNet(2))
-    trainer.opt_student = cap = GradCapture(student.named_parameters())
+    trainer.opt_student = cap = GradCapture(
+        student.named_parameters(),
+        probe=None if probe is None else lambda: probe(teacher, disc))
     trainer.step(x, cond, rng)
-    return cap.captured, teacher, disc
+    return cap.captured
 
 
 def test_stage2_doubling_weights_doubles_student_gradient():
     w1 = LossWeights(1.0, 1.0, 1.0, 0.5)
     w2 = LossWeights(2.0, 2.0, 2.0, 1.0)
-    g1, _, _ = run_capture_step(w1)
-    g2, _, _ = run_capture_step(w2)
+    g1 = run_capture_step(w1)
+    g2 = run_capture_step(w2)
     for a, b in zip(g1, g2):
         if a is None:
             assert b is None or not np.abs(b).any()
@@ -297,11 +301,18 @@ def test_stage2_doubling_weights_doubles_student_gradient():
 
 
 def test_stage2_teacher_and_disc_grads_untouched_during_student_substep():
-    captured, teacher, disc = run_capture_step(LossWeights())
+    # read at the student's update: the discriminator's own sub-step comes later
+    seen = {}
+
+    def probe(teacher, disc):
+        seen["teacher"] = [p.grad for p in teacher.parameters()]
+        seen["disc"] = [p.grad for p in disc.parameters()]
+
+    captured = run_capture_step(LossWeights(), probe=probe)
     assert any(g is not None and np.abs(g).sum() > 0 for g in captured)
-    assert all(p.grad is None for p in teacher.parameters())
+    assert all(g is None for g in seen["teacher"])
     # the generator hinge term uses detached discriminator weights
-    assert all(p.grad is None for p in disc.parameters())
+    assert all(g is None for g in seen["disc"])
 
 
 def test_stage2_zero_weights_leave_student_unchanged():

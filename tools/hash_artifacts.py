@@ -20,7 +20,9 @@ It imports splitflow from the `src/` next to this script. The runs are:
 
 Each run writes to a fixed directory under /tmp, because every checkpoint
 header records the config fingerprint and the fingerprint covers
-`output_dir`. A run directory is removed before its run and after hashing.
+`output_dir`. A run directory is removed before its run and after hashing,
+so two copies running at once delete each other's runs: produce the parent
+and the change listings one after the other.
 Output lines are `<run>/<artifact> <sha256>`, and
 `data/<name>-<n>-<seed> <sha256>` for the datasets.
 """
