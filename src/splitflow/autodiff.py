@@ -4,6 +4,11 @@ Graphs are recorded implicitly through parent links and replayed once by a
 topological backward sweep. A graph is single-use: after a backward pass the
 visited interior nodes are consumed and a fresh forward pass is required for
 another differentiation.
+
+One gradient rule: `Tensor._accumulate` is the only writer of `.grad`. The
+first contribution is stored as is (a C-contiguous array of the tensor's
+dtype, so it may be shared with another node); later ones are added out of
+place, never in place.
 """
 
 import numpy as np
@@ -22,6 +27,11 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _spread(grad, axis, shape):
+    """A reduction's gradient broadcast back over the reduced axes (a stride-0 view)."""
+    return np.broadcast_to(grad if axis is None else np.expand_dims(grad, axis), shape)
 
 
 def sigmoid_values(v):
@@ -59,10 +69,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype})"
 
-    def _ensure_grad(self):
+    def _accumulate(self, grad):
+        """Add one gradient contribution: the only code that writes `grad`."""
+        grad = _unbroadcast(grad, self.values.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        return self.grad
+            # stored as is; a stride-0 or column view is copied, because a
+            # non-contiguous operand makes the next matmul leave BLAS
+            self.grad = np.asarray(grad, dtype=self.values.dtype, order="C")
+        else:
+            # out of place: a stored gradient may be another node's
+            self.grad = (self.grad + grad).astype(self.values.dtype, copy=False)
 
     # ---- graph construction helpers -------------------------------------
 
@@ -75,28 +91,20 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values + other.values, _parents=(self, other))
 
         def backward(grad):
-            self._ensure_grad()
-            other._ensure_grad()
-            self.grad += _unbroadcast(grad, self.values.shape)
-            other.grad += _unbroadcast(grad, other.values.shape)
+            self._accumulate(grad)
+            other._accumulate(grad)
 
-        out._backward = backward
-        return out
+        return Tensor(self.values + other.values, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.values, _parents=(self,))
-
         def backward(grad):
-            self._ensure_grad()
-            self.grad += _unbroadcast(-grad, self.values.shape)
+            self._accumulate(-grad)
 
-        out._backward = backward
-        return out
+        return Tensor(-self.values, (self,), backward)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -106,16 +114,12 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values * other.values, _parents=(self, other))
 
         def backward(grad):
-            self._ensure_grad()
-            other._ensure_grad()
-            self.grad += _unbroadcast(grad * other.values, self.values.shape)
-            other.grad += _unbroadcast(grad * self.values, other.values.shape)
+            self._accumulate(grad * other.values)
+            other._accumulate(grad * self.values)
 
-        out._backward = backward
-        return out
+        return Tensor(self.values * other.values, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -126,75 +130,45 @@ class Tensor:
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values @ other.values, _parents=(self, other))
 
         def backward(grad):
-            self._ensure_grad()
-            other._ensure_grad()
-            self.grad += grad @ other.values.swapaxes(-1, -2)
-            other.grad += self.values.swapaxes(-1, -2) @ grad
+            self._accumulate(grad @ other.values.swapaxes(-1, -2))
+            other._accumulate(self.values.swapaxes(-1, -2) @ grad)
 
-        out._backward = backward
-        return out
+        return Tensor(self.values @ other.values, (self, other), backward)
 
     # ---- reductions and shaping -------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.values.sum(axis=axis), _parents=(self,))
-
         def backward(grad):
-            self._ensure_grad()
-            if axis is None:
-                self.grad += grad
-            else:
-                self.grad += np.expand_dims(grad, axis)
+            self._accumulate(_spread(grad, axis, self.values.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.values.sum(axis=axis), (self,), backward)
 
     def mean(self, axis=None):
-        if axis is None:
-            n = self.values.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = 1
-            for a in axes:
-                n *= self.values.shape[a]
-        out = Tensor(self.values.mean(axis=axis), _parents=(self,))
+        values = self.values.mean(axis=axis)
+        n = self.values.size // max(values.size, 1)    # entries averaged into each output
 
         def backward(grad):
-            self._ensure_grad()
-            g = grad / n
-            if axis is None:
-                self.grad += g
-            else:
-                self.grad += np.expand_dims(g, axis)
+            self._accumulate(_spread(grad / n, axis, self.values.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(values, (self,), backward)
 
     def reshape(self, *shape):
-        out = Tensor(self.values.reshape(shape), _parents=(self,))
-
         def backward(grad):
-            self._ensure_grad()
-            self.grad += grad.reshape(self.values.shape)
+            self._accumulate(grad.reshape(self.values.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.values.reshape(shape), (self,), backward)
 
     # ---- nonlinearities ----------------------------------------------------
 
     def sigmoid(self):
         s = sigmoid_values(self.values)
-        out = Tensor(s, _parents=(self,))
 
         def backward(grad):
-            self._ensure_grad()
-            self.grad += grad * s * (1.0 - s)
+            self._accumulate(grad * s * (1.0 - s))
 
-        out._backward = backward
-        return out
+        return Tensor(s, (self,), backward)
 
     def silu(self):
         sig = self.sigmoid()
@@ -202,14 +176,11 @@ class Tensor:
 
     def relu(self):
         mask = self.values > 0
-        out = Tensor(np.where(mask, self.values, 0.0), _parents=(self,))
 
         def backward(grad):
-            self._ensure_grad()
-            self.grad += grad * mask
+            self._accumulate(grad * mask)
 
-        out._backward = backward
-        return out
+        return Tensor(np.where(mask, self.values, 0.0), (self,), backward)
 
     def square(self):
         return self * self
@@ -227,18 +198,13 @@ class Tensor:
 def concat(tensors, axis=-1):
     """Differentiable concatenation along `axis`."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis), _parents=tuple(tensors))
-    sizes = [t.values.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
 
     def backward(grad):
-        pieces = np.split(grad, splits, axis=axis)
-        for t, g in zip(tensors, pieces):
-            t._ensure_grad()
-            t.grad += g
+        for t, g in zip(tensors, np.split(grad, splits, axis=axis)):
+            t._accumulate(g)
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def stop_gradient(x):
@@ -255,18 +221,13 @@ def backward_multi(seeds):
     is seeded before the single topological traversal, so contributions from
     all roots accumulate correctly through shared subgraphs.
     """
-    roots = []
     for tensor, seed in seeds:
         seed = np.asarray(seed, dtype=tensor.values.dtype)
-        if seed.shape != tensor.values.shape:
-            seed = np.broadcast_to(seed, tensor.values.shape).copy()
-        tensor._ensure_grad()
-        tensor.grad = tensor.grad + seed
-        roots.append(tensor)
+        tensor._accumulate(np.broadcast_to(seed, tensor.values.shape))
 
     order = []
     visited = set()
-    stack = [(r, False) for r in roots]
+    stack = [(tensor, False) for tensor, _ in seeds]
     while stack:
         node, processed = stack.pop()
         if processed:

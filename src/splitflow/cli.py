@@ -148,8 +148,8 @@ def cmd_diagnose(args):
 
 
 def main(argv=None):
-    """Run one command; a bad config file, a missing stage input or a malformed
-    checkpoint exits 2 with a one-line message."""
+    """Run one command; a bad config file, a missing stage input, a missing or
+    unreadable file or a malformed checkpoint exits 2 with a one-line message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -158,7 +158,7 @@ def main(argv=None):
         if args.command == "sample":
             return cmd_sample(args)
         return cmd_diagnose(args)
-    except (ConfigError, PipelineError, CheckpointFormatError) as exc:
+    except (ConfigError, PipelineError, CheckpointFormatError, OSError) as exc:
         print(f"splitflow: error: {exc}", file=sys.stderr)
         return 2
 

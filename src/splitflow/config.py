@@ -94,9 +94,11 @@ _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
                      float | None: _opt_float}[f.type]
             for f in fields(ExperimentConfig)}
 
-# The least value of each bounded count; probability and dropout keys lie in [0, 1].
-_LEAST = {"dataset_size": 1, "degrade_factor": 1, "model_hidden": 1, "model_layers": 1,
-          "model_time_embed_dim": 2,
+# The least value of each bounded count and weight; probability and dropout keys
+# lie in [0, 1].
+_LEAST = {"dataset_size": 1, "degrade_factor": 1, "degrade_noise_std": 0, "model_hidden": 1,
+          "model_layers": 1, "model_time_embed_dim": 2, "stage2_lambda1": 0,
+          "stage2_lambda2": 0, "stage2_lambda3": 0, "stage2_lambda4": 0,
           "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
           "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
           "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1}

@@ -23,14 +23,12 @@ class PipelineError(RuntimeError):
     pass
 
 
-def emit_report(records, path, columns=None):
+def emit_report(records, path, columns):
     """CSV with a header row, 6-significant-digit floats, stable column order;
-    `records` is a list of dicts, or a 2-D array whose columns are `columns`."""
+    `records` is a list of dicts or a 2-D array, and `columns` names the columns."""
     if isinstance(records, np.ndarray):
         rows = records.tolist()
     else:
-        if columns is None:
-            columns = list(records[0].keys()) if records else []
         rows = ([rec.get(c, "") for c in columns] for rec in records)
     lines = [",".join(columns)]
     lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)

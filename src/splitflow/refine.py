@@ -55,10 +55,6 @@ class FeatureNet:
             return self.net.forward(x, detach_params=True)
         return self.net.apply(x)
 
-    def features(self, x):
-        """Plain-array evaluation for metric code."""
-        return self.net.apply(np.asarray(x, dtype=np.float32))
-
 
 class Discriminator(Model):
     """Small realness scorer: an MLP on raw 2D samples, or on block-averaged

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitflow import Mlp, Tensor, backward_multi, concat, grad_check, stop_gradient
+from splitflow import (Interval, Mlp, StudentModel, Tensor, backward_multi, concat, grad_check,
+                       isc_loss, make_rng, stop_gradient)
 
 
 def test_chain_rule_square():
@@ -98,6 +99,39 @@ def test_backward_multi_matches_combined_scalar():
     s = y.square()
     (s.sum() + (s * 3.0).sum()).backward()
     assert np.allclose(got, y.grad, atol=1e-6)
+
+
+def test_shared_gradient_takes_later_contributions_out_of_place():
+    # a and b both store y's gradient as their first contribution, one array;
+    # each then gets a second contribution that must not reach the other
+    a = Tensor(np.array([1.0, -2.0, 0.5], dtype=np.float32))
+    b = Tensor(np.array([0.25, 3.0, -1.0], dtype=np.float32))
+    w = np.array([2.0, -1.0, 4.0], dtype=np.float32)
+    y = a + b
+    loss = (y * w).sum() + (a * a).sum() + (b * 3.0).sum()
+    loss.backward()
+    assert np.array_equal(y.grad, w)
+    assert np.array_equal(a.grad, w + 2.0 * a.values)    # [4, -5, 5]
+    assert np.array_equal(b.grad, w + 3.0)               # [5, 2, 7]
+
+
+def test_isc_loss_gradients_are_contiguous_arrays_of_their_dtype():
+    # the concat into the fused embedding hands its inputs column views
+    student = StudentModel(2, 1, hidden_sizes=(8, 8), time_embed_dim=8, rng=make_rng(0))
+    z_t = make_rng(1).standard_normal((4, 2)).astype(np.float32)
+    cond = np.ones((4, 1), dtype=np.float32)
+    loss = isc_loss(student, z_t, Interval(r=0.1, s=0.4, t=0.8, lam=0.5714285714285715), cond)
+    tape, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in tape:
+            tape[id(node)] = node
+            stack.extend(node._parents)
+    loss.backward()
+    params = student.parameters()
+    assert all(any(p is node for node in tape.values()) for p in params)
+    for node in tape.values():
+        assert node.grad.flags.c_contiguous and node.grad.dtype == node.values.dtype
 
 
 def test_grad_check_square():

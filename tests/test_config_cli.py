@@ -66,10 +66,16 @@ def test_parse_rejects_bad_value_with_location():
     ("model_time_embed_dim = 0", "model_time_embed_dim"),
     ("stage2_schedule = cosine", "stage2_schedule"),
     ("dataset_name = tiny-patches\ndegrade_factor = 3", "degrade_factor"),
+    ("stage2_lambda1 = -1", "stage2_lambda1"),
+    ("stage2_lambda2 = -0.5", "stage2_lambda2"),
+    ("stage2_lambda3 = -1e-3", "stage2_lambda3"),
+    ("stage2_lambda4 = -2", "stage2_lambda4"),
+    ("degrade_noise_std = -0.02", "degrade_noise_std"),
 ], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
         "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1",
         "odd-time-embed-dim", "zero-time-embed-dim", "unknown-stage2-schedule",
-        "patch-side-not-divisible"])
+        "patch-side-not-divisible", "negative-lambda1", "negative-lambda2",
+        "negative-lambda3", "negative-lambda4", "negative-noise-std"])
 def test_parse_rejects_out_of_range_value_with_location(line, key):
     lineno = 1 + len(line.splitlines())    # the last line read names the error
     with pytest.raises(ConfigError, match=rf"exp\.cfg:{lineno}: bad values? for .*'{key}'"):
@@ -372,6 +378,21 @@ def test_cli_sample_truncated_checkpoint_exits_2_with_one_line(tmp_path, capsys)
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "train-teacher"])
+def test_cli_missing_file_exits_2_with_one_line(tmp_path, capsys, command):
+    cfg_path, _ = write_tiny_config_file(tmp_path)
+    if command == "sample":
+        missing = tmp_path / "nope.ckpt"
+        argv = ["sample", "--config", cfg_path, "--checkpoint", str(missing)]
+    else:
+        missing = tmp_path / "nope.cfg"
+        argv = ["train-teacher", "--config", str(missing), "--dry-run"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitflow: error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_cli_calls_share_no_state_through_the_cached_parser(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_stage", lambda args, stages: seen.append(vars(args)) or 0)
@@ -402,6 +423,7 @@ def test_cli_sample_csv_matches_emit_report_formatting(tmp_path, capsys, monkeyp
                  "--num", "4", "--output", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     ref = tmp_path / "ref.csv"
-    emit_report([{f"x{j}": float(v) for j, v in enumerate(row)} for row in values], str(ref))
+    columns = [f"x{j}" for j in range(values.shape[1])]
+    emit_report([dict(zip(columns, map(float, row))) for row in values], str(ref), columns)
     assert out.read_bytes() == ref.read_bytes()
     assert out.read_text().splitlines()[1:3] == ["-1.5,1e-07", "1e+06,3"]

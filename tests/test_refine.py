@@ -244,7 +244,7 @@ def test_feature_net_is_deterministic_and_frozen():
     a = FeatureNet(8)
     b = FeatureNet(8)
     x = make_rng(5).standard_normal((3, 8)).astype(np.float32)
-    assert np.array_equal(a.features(x), b.features(x))
+    assert np.array_equal(a(x), b(x))
     out = a(Tensor(x))
     out.mean().backward()
     assert all(p.grad is None for p in a.net.parameters())
