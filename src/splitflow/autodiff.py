@@ -8,7 +8,8 @@ another differentiation.
 One gradient rule: `Tensor._accumulate` is the only writer of `.grad`. The
 first contribution is stored as is (a C-contiguous array of the tensor's
 dtype, so it may be shared with another node); later ones are added out of
-place, never in place.
+place, never in place. A sweep told which leaves are wanted computes only the
+gradients that lead to them.
 """
 
 import numpy as np
@@ -38,16 +39,23 @@ def sigmoid_values(v):
     """Logistic sigmoid of an array, as a new array of its dtype."""
     # e = exp(-|v|) never overflows; s is 1/(1+e) where v >= 0 and
     # e/(1+e) elsewhere, and since e <= 1 the numerator is max(e, v >= 0).
-    # Mask-free whole-array ops: boolean gathers, scatters and np.where
-    # cost several times the arithmetic.
-    e = np.exp(-np.abs(v))
-    return np.maximum(e, v >= 0) / (1.0 + e)
+    # Mask-free whole-array ops on one scratch array: boolean gathers,
+    # scatters, np.where and temporaries cost several times the arithmetic.
+    # Each step is the operation of `maximum(e, v >= 0) / (1.0 + e)`, so the
+    # result is bit-identical to that form.
+    e = np.asarray(np.abs(v))      # a 0-d input gives a scalar; `out=` needs an array
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, v >= 0)
+    e += 1.0
+    s /= e
+    return s
 
 
 class Tensor:
     """Array with a gradient accumulator and a link into the recording tape."""
 
-    __slots__ = ("values", "grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("values", "grad", "_parents", "_backward", "_consumed", "_live")
 
     def __init__(self, values, _parents=(), _backward=None):
         self.values = np.asarray(values)
@@ -57,6 +65,7 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._consumed = False
+        self._live = True      # leads to a wanted leaf; set by each backward sweep
 
     @property
     def shape(self):
@@ -70,7 +79,10 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype})"
 
     def _accumulate(self, grad):
-        """Add one gradient contribution: the only code that writes `grad`."""
+        """Add one gradient contribution: the only code that writes `grad`.
+        A tensor that leads to no wanted leaf takes none."""
+        if not self._live:
+            return
         grad = _unbroadcast(grad, self.values.shape)
         if self.grad is None:
             # stored as is; a stride-0 or column view is copied, because a
@@ -116,8 +128,10 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(grad):
-            self._accumulate(grad * other.values)
-            other._accumulate(grad * self.values)
+            if self._live:
+                self._accumulate(grad * other.values)
+            if other._live:
+                other._accumulate(grad * self.values)
 
         return Tensor(self.values * other.values, (self, other), backward)
 
@@ -132,8 +146,10 @@ class Tensor:
         other = self._coerce(other)
 
         def backward(grad):
-            self._accumulate(grad @ other.values.swapaxes(-1, -2))
-            other._accumulate(self.values.swapaxes(-1, -2) @ grad)
+            if self._live:
+                self._accumulate(grad @ other.values.swapaxes(-1, -2))
+            if other._live:
+                other._accumulate(self.values.swapaxes(-1, -2) @ grad)
 
         return Tensor(self.values @ other.values, (self, other), backward)
 
@@ -214,17 +230,19 @@ def stop_gradient(x):
     return Tensor(x)
 
 
-def backward_multi(seeds):
+def backward_multi(seeds, wanted=None):
     """Run one backward sweep from several roots at once.
 
     `seeds` is a list of (tensor, gradient-array) pairs; each root's gradient
-    is seeded before the single topological traversal, so contributions from
-    all roots accumulate correctly through shared subgraphs.
-    """
-    for tensor, seed in seeds:
-        seed = np.asarray(seed, dtype=tensor.values.dtype)
-        tensor._accumulate(np.broadcast_to(seed, tensor.values.shape))
+    is seeded before the single sweep in topological order, so contributions
+    from all roots accumulate correctly through shared subgraphs.
 
+    `wanted` lists the leaves whose gradients are read, every leaf when it is
+    None. The sweep first marks the nodes that lead to a wanted leaf, then
+    runs no closure for an unmarked node and gives an unmarked tensor no
+    gradient. A marked node's children are all marked, so each wanted leaf
+    takes the same contributions in the same order as in a full sweep.
+    """
     order = []
     visited = set()
     stack = [(tensor, False) for tensor, _ in seeds]
@@ -241,12 +259,23 @@ def backward_multi(seeds):
             if id(p) not in visited:
                 stack.append((p, False))
 
+    # `order` lists every node after its parents
+    wanted_ids = None if wanted is None else {id(p) for p in wanted}
+    for node in order:
+        node._live = (wanted_ids is None or id(node) in wanted_ids
+                      or any(p._live for p in node._parents))
+
+    for tensor, seed in seeds:
+        seed = np.asarray(seed, dtype=tensor.values.dtype)
+        tensor._accumulate(np.broadcast_to(seed, tensor.values.shape))
+
     for node in reversed(order):
         if node._backward is None:
             continue
         if node._consumed:
             raise RuntimeError("tape already consumed; re-record the forward pass")
-        node._backward(node.grad)
+        if node._live:
+            node._backward(node.grad)
         node._consumed = True
 
 

@@ -105,11 +105,20 @@ def cmd_sample(args):
     if meta["kind"] != "student":
         print(f"{ckpt} is a {meta['kind']} checkpoint, not a student one", file=sys.stderr)
         return 2
+    # The eval set is rebuilt on every request: its seed follows `--seed`, and
+    # a serving client sends a fresh seed with each request, so a memo would
+    # never hit; Philox normal draws consume a variable number of outputs, so
+    # the requested rows cannot be drawn without the rows before them.
     x_ref, cond_ref = _eval_data(config)
+    if (student.state_dim, student.cond_dim) != (x_ref.shape[1], cond_ref.shape[1]):
+        print(f"{ckpt}: the student takes state_dim {student.state_dim} and cond_dim "
+              f"{student.cond_dim}, but {config.dataset_name} has state_dim "
+              f"{x_ref.shape[1]} and cond_dim {cond_ref.shape[1]}", file=sys.stderr)
+        return 2
     rng = make_rng(config.seed)
     idx = rng.integers(0, cond_ref.shape[0], size=args.num)
     cond = cond_ref[idx]
-    eps = rng.standard_normal((args.num, x_ref.shape[1])).astype(np.float32)
+    eps = rng.standard_normal((args.num, student.state_dim)).astype(np.float32)
     samples = multi_step_sample(student, eps, cond, args.steps)
     out = args.output or os.path.join(config.output_dir, "samples.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)

@@ -5,6 +5,7 @@ failure mode in reproduction work, so the parser refuses them outright.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .data import DATASET_NAMES, PATCH_SIZE
@@ -95,10 +96,10 @@ _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
             for f in fields(ExperimentConfig)}
 
 # The least value of each bounded count and weight; probability and dropout keys
-# lie in [0, 1].
+# lie in [0, 1], learning rates (`*_lr`) are positive and every float is finite.
 _LEAST = {"dataset_size": 1, "degrade_factor": 1, "degrade_noise_std": 0, "model_hidden": 1,
-          "model_layers": 1, "model_time_embed_dim": 2, "stage2_lambda1": 0,
-          "stage2_lambda2": 0, "stage2_lambda3": 0, "stage2_lambda4": 0,
+          "model_layers": 1, "model_time_embed_dim": 2, "teacher_weight_decay": 0,
+          "stage2_lambda1": 0, "stage2_lambda2": 0, "stage2_lambda3": 0, "stage2_lambda4": 0,
           "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
           "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
           "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1}
@@ -126,6 +127,10 @@ def parse_config(text, path="<string>"):
         seen[key] = lineno
         try:
             value = _PARSERS[key](value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{value!r} is not finite")
+            if key.endswith("_lr") and value <= 0:
+                raise ValueError(f"{value!r} is not positive")
             if (key in _LEAST and value < _LEAST[key]
                     or key == "dataset_name" and value not in DATASET_NAMES
                     or key.endswith(("_probability", "_dropout")) and not 0 <= value <= 1):

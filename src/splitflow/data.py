@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DATASET_NAMES = ("two-moons-conditional", "gaussian-mixture-conditional", "tiny-patches")
+DATASET_NAMES = ("two-moons-conditional", "tiny-patches")
 PATCH_SIZE = 16
 # Rows of patches computed together by `_procedural_patches`.
 PATCH_BLOCK = 256
@@ -65,20 +65,12 @@ def _two_moons(n, rng):
     labels = rng.integers(0, 2, size=n)
     theta = rng.random(n) * np.pi
     noise = rng.normal(0.0, 0.08, size=(n, 2))
-    x = np.empty((n, 2))
+    # cos and sin of every angle once, then a select: elementwise, so each
+    # entry is what a computation over its own moon's rows gives
+    cos, sin = np.cos(theta), np.sin(theta)
     outer = labels == 0
-    x[outer, 0] = np.cos(theta[outer])
-    x[outer, 1] = np.sin(theta[outer])
-    x[~outer, 0] = 1.0 - np.cos(theta[~outer])
-    x[~outer, 1] = 0.5 - np.sin(theta[~outer])
+    x = np.stack([np.where(outer, cos, 1.0 - cos), np.where(outer, sin, 0.5 - sin)], axis=1)
     return x + noise, labels
-
-
-def _gaussian_mixture(n, rng, k=8, radius=2.0, std=0.15):
-    labels = rng.integers(0, k, size=n)
-    angles = 2.0 * np.pi * labels / k
-    centers = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-    return centers + rng.normal(0.0, std, size=(n, 2)), labels
 
 
 def _patch_block(kinds, rng, out):
@@ -153,10 +145,7 @@ def generate_dataset(name, n, seed, degradation=None):
         x_h, labels = _procedural_patches(n, rng)
         x_l = degrade(x_h, degradation, rng)
         return ToyDataset(name, x_h.astype(np.float32), x_l, seed, labels=labels)
-    if name == "two-moons-conditional":
-        x_h, labels = _two_moons(n, rng)
-    else:
-        x_h, labels = _gaussian_mixture(n, rng)
+    x_h, labels = _two_moons(n, rng)
     obs = x_h @ PROJECTION_DIRECTION + rng.normal(0.0, OBSERVATION_NOISE_STD, size=n)
     return ToyDataset(name, x_h.astype(np.float32),
                       obs.astype(np.float32)[:, None], seed, labels=labels)

@@ -132,7 +132,7 @@ def isc_loss(student, z_t, interval, cond):
     """
     r, s, t, lam = interval.r, interval.s, interval.t, interval.lam
     # Taped on purpose: perfbench's test_count_metrics_repeat_exactly bounds the
-    # tape nodes per moons training step from below (see ROADMAP item 2).
+    # tape nodes per moons training step from below (see ROADMAP item 1).
     u2 = student.average_velocity(z_t, s, t, cond).values
     z_s = z_t - (t - s) * u2
     u1 = student.average_velocity(z_s, r, s, cond).values

@@ -78,7 +78,14 @@ class ConditionedModel(Model):
 
     def _embed(self, z, t):
         """Embedding array of a time scalar or one time per row, for each row of `z`."""
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (z.shape[0],))
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim == 0:
+            # one row, copied: the rows of an embedding are computed
+            # independently, so this is bit-identical to embedding each row;
+            # a stride-0 `broadcast_to` view would take the matmul off BLAS
+            row = time_embedding(t, self.time_embed_dim, dtype=z.dtype)
+            return np.repeat(row, z.shape[0], axis=0)
+        t = np.broadcast_to(t, (z.shape[0],))
         return time_embedding(t, self.time_embed_dim, dtype=z.dtype)
 
     def _inputs(self, z, emb, cond):

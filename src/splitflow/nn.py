@@ -151,14 +151,15 @@ def descend(opt, loss, what, *seeds):
 
     A non-finite value raises `FloatingPointError("non-finite <what>")` before
     any state changes. Otherwise gradients are cleared, one backward sweep runs
-    from `loss` and from each extra `(tensor, gradient)` seed, and `opt` steps.
-    Gradients are left in place after the step; the next update clears them.
+    from `loss` and from each extra `(tensor, gradient)` seed, computing only
+    the gradients that lead to `opt`'s parameters, and `opt` steps. Gradients
+    are left in place after the step; the next update clears them.
     """
     value = float(loss.values)
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite {what}")
     opt.zero_grad()
-    backward_multi([(loss, np.ones_like(loss.values)), *seeds])
+    backward_multi([(loss, np.ones_like(loss.values)), *seeds], wanted=opt.params)
     opt.step()
     return value
 

@@ -25,14 +25,17 @@ class PipelineError(RuntimeError):
 
 def emit_report(records, path, columns):
     """CSV with a header row, 6-significant-digit floats, stable column order;
-    `records` is a list of dicts or a 2-D array, and `columns` names the columns."""
+    `records` is a list of dicts or a 2-D float array, and `columns` names the
+    columns."""
+    lines = [",".join(columns)]
     if isinstance(records, np.ndarray):
-        rows = records.tolist()
+        # one template per row: `%.6g` formats a float as `{:.6g}` does
+        template = ",".join(["%.6g"] * records.shape[1])
+        lines.extend(template % tuple(row) for row in records.tolist())
     else:
         rows = ([rec.get(c, "") for c in columns] for rec in records)
-    lines = [",".join(columns)]
-    lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
-                 for row in rows)
+        lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
+                     for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

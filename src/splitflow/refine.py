@@ -2,6 +2,7 @@
 regularizer, hinge adversarial losses with a small discriminator, and the
 weighted total objective with alternating updates."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 class WeightSchedule:

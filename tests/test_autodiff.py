@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitflow import (Interval, Mlp, StudentModel, Tensor, backward_multi, concat, grad_check,
-                       isc_loss, make_rng, stop_gradient)
+from splitflow import (AdamW, Discriminator, FeatureNet, Interval, Mlp, Stage1Config,
+                       Stage2Config, Stage2Trainer, StudentModel, TeacherModel, Tensor,
+                       backward_multi, concat, fm_loss, generate_dataset, grad_check, isc_loss,
+                       make_rng, stage1_train_step, stop_gradient)
+from splitflow import nn
+from splitflow.autodiff import sigmoid_values
 
 
 def test_chain_rule_square():
@@ -198,3 +202,109 @@ def test_mean_over_axes():
     assert m.shape == (2, 2)
     m.sum().backward()
     assert np.allclose(x.grad, 0.25)
+
+
+# ---- the in-place sigmoid, pinned to the form it replaced ------------------------
+
+def reference_sigmoid_values(v):
+    e = np.exp(-np.abs(v))
+    return np.maximum(e, v >= 0) / (1.0 + e)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_values_matches_reference_byte_for_byte(dtype):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    magnitudes = np.logspace(-8, 2, 301)
+    rng = make_rng(11)
+    inputs = [
+        np.array(special + list(magnitudes) + list(-magnitudes), dtype=dtype),
+        (rng.standard_normal((128, 256)) * 8.0).astype(dtype),
+        (rng.standard_normal((16, 128)) * 30.0).astype(dtype),
+        rng.standard_normal(33).astype(dtype),    # a length off the SIMD width
+        np.asarray(rng.standard_normal((7, 5)).astype(dtype).T),    # not C-contiguous
+        np.array(-3.5, dtype=dtype),
+    ]
+    for v in inputs:
+        before = v.copy()
+        got, want = sigmoid_values(v), reference_sigmoid_values(v)
+        assert np.asarray(got).dtype == np.asarray(want).dtype == dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert v.tobytes() == before.tobytes()    # the input is left alone
+
+
+# ---- pruned sweeps: only the gradients an optimizer reads --------------------------
+
+def _teacher_step():
+    teacher = TeacherModel(2, 1, hidden_sizes=(16, 16), time_embed_dim=8, rng=make_rng(1))
+    rng = make_rng(2)
+    x = rng.standard_normal((32, 2)).astype(np.float32)
+    cond = rng.standard_normal((32, 1)).astype(np.float32)
+    opt = AdamW(teacher.named_parameters(), learning_rate=1e-3, weight_decay=1e-2)
+    nn.descend(opt, fm_loss(teacher, x, rng.standard_normal((32, 2)).astype(np.float32),
+                            rng.random(32), cond), "loss")
+    return [teacher]
+
+
+def _stage1_step(branch_probability, guidance_scale):
+    teacher = TeacherModel(2, 1, hidden_sizes=(16, 16), time_embed_dim=8, rng=make_rng(3))
+    student = StudentModel.from_teacher(teacher)
+    student.proj_r.values[:] = make_rng(4).standard_normal((8, 8)) * 0.1
+    rng = make_rng(5)
+    x = rng.standard_normal((32, 2)).astype(np.float32)
+    cond = rng.standard_normal((32, 1)).astype(np.float32)
+    config = Stage1Config(branch_probability=branch_probability,
+                          guidance_scale=guidance_scale)
+    opt = AdamW(student.named_parameters(), learning_rate=1e-3)
+    stage1_train_step(student, teacher, x, cond, config, rng, opt)
+    return [teacher, student]
+
+
+def _refine_step(dataset):
+    pool = dataset == "tiny-patches"
+    data = generate_dataset(dataset, 16, seed=6)
+    x, cond = data.flat_x(), data.cond_array()
+    teacher = TeacherModel(x.shape[1], cond.shape[1], hidden_sizes=(16, 16),
+                           time_embed_dim=8, rng=make_rng(7))
+    student = StudentModel.from_teacher(teacher)
+    regularizer = teacher.copy()
+    disc = Discriminator(x.shape[1], hidden=8, rng=make_rng(8),
+                         pool_from=16 if pool else None)
+    trainer = Stage2Trainer(student, teacher, regularizer, disc,
+                            Stage2Config(batch_size=8), feature_net=FeatureNet(x.shape[1]))
+    trainer.step(x[:8], cond[:8], make_rng(9))
+    return [teacher, student, regularizer, disc]
+
+
+@pytest.mark.parametrize("step", [
+    _teacher_step,
+    lambda: _stage1_step(1.0, None),
+    lambda: _stage1_step(0.0, None),
+    lambda: _stage1_step(0.0, 2.5),
+    lambda: _refine_step("two-moons-conditional"),
+    lambda: _refine_step("tiny-patches"),
+], ids=["teacher", "stage1-splitting", "stage1-boundary", "stage1-guided",
+        "refine-moons", "refine-patches"])
+def test_pruned_sweep_leaves_every_parameter_as_a_full_sweep_does(monkeypatch, step):
+    def state(models):
+        return [(name, None if p.grad is None else (p.grad.dtype, p.grad.tobytes()),
+                 p.values.tobytes())
+                for model in models for name, p in model.named_parameters()]
+
+    pruned = state(step())
+    monkeypatch.setattr(nn, "backward_multi",
+                        lambda seeds, wanted=None: backward_multi(seeds))
+    full = state(step())
+    assert pruned == full
+    assert any(grad is not None for _, grad, _ in pruned)
+
+
+def test_pruned_sweep_skips_what_leads_to_no_wanted_leaf():
+    w = Tensor(np.array([[2.0, -1.0]], dtype=np.float32))
+    frozen = stop_gradient(w)
+    x = Tensor(np.array([[1.0], [3.0]], dtype=np.float32))
+    h, g = x @ w, x @ frozen
+    both = concat([h, g], axis=-1)
+    loss = (both * both).sum() + (x * h).sum()
+    backward_multi([(loss, np.ones_like(loss.values))], wanted=[w])
+    assert np.array_equal(w.grad, [[50.0, -10.0]])    # x.T @ (2h + x)
+    assert x.grad is None and frozen.grad is None and g.grad is None

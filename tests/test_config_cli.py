@@ -140,6 +140,28 @@ def test_emit_report_byte_identical_re_emission(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_emit_report_array_matches_per_value_formatting(tmp_path, dtype):
+    def reference(values, path, columns):
+        lines = [",".join(columns)]
+        lines.extend(",".join(f"{v:.6g}" for v in row) for row in values.tolist())
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-45, 3.4e38,
+               1.7976931348623157e308, 123456.5, 1234567.0, -1e-7, 0.1]
+    rng = make_rng(3)
+    for values in (np.array(special).reshape(7, 2),
+                   rng.standard_normal((2048, 4)) * 10.0 ** rng.integers(-9, 9, (2048, 4)),
+                   np.zeros((0, 3)), np.array([[np.nan]])):
+        with np.errstate(over="ignore"):    # float64 extremes become float32 infinities
+            values = values.astype(dtype)
+        columns = [f"x{j}" for j in range(values.shape[1])]
+        emit_report(values, tmp_path / "got.csv", columns)
+        reference(values, tmp_path / "want.csv", columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # ---- pipeline ----------------------------------------------------------------------
 
 def tiny_config(tmp_path, **overrides):
@@ -300,6 +322,20 @@ def test_cli_sample_rejects_non_student_checkpoint(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_cli_sample_rejects_student_that_does_not_fit_the_dataset(tmp_path, capsys):
+    cfg_path, _ = write_tiny_config_file(tmp_path)
+    ckpt = str(tmp_path / "wide.ckpt")
+    save_checkpoint(StudentModel(256, 64, hidden_sizes=(8,), time_embed_dim=8, rng=make_rng(0)),
+                    {"iteration": 0}, ckpt)
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", cfg_path, "--checkpoint", ckpt,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"{ckpt}: the student takes state_dim 256 and "
+                                   "cond_dim 64, but two-moons-conditional has state_dim 2 "
+                                   "and cond_dim 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--steps", "0"],
     ["sample", "--num", "-1"],
@@ -352,6 +388,26 @@ def test_cli_bad_config_value_exits_2_with_one_line(tmp_path, capsys):
     assert out == ""
     assert err == (f"splitflow: error: {path}:2: bad value for "
                    "'model_time_embed_dim': 7 is not even\n")
+
+
+@pytest.mark.parametrize("line, key, why", [
+    ("stage2_lambda1 = nan", "stage2_lambda1", "nan is not finite"),
+    ("degrade_noise_std = nan", "degrade_noise_std", "nan is not finite"),
+    ("stage1_guidance_scale = inf", "stage1_guidance_scale", "inf is not finite"),
+    ("stage2_vsd_t_max = nan", "stage2_vsd_t_max", "nan is not finite"),
+    ("teacher_lr = -1", "teacher_lr", "-1.0 is not positive"),
+    ("stage1_lr = 0", "stage1_lr", "0.0 is not positive"),
+    ("stage2_discriminator_lr = nan", "stage2_discriminator_lr", "nan is not finite"),
+    ("teacher_weight_decay = -1e-4", "teacher_weight_decay", "-0.0001 is out of range"),
+], ids=["nan-lambda1", "nan-noise-std", "inf-guidance-scale", "nan-vsd-t-max",
+        "negative-lr", "zero-lr", "nan-lr", "negative-weight-decay"])
+def test_cli_rejects_non_finite_and_non_positive_values(tmp_path, capsys, line, key, why):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    assert main(["pipeline", "--config", str(path), "--dry-run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitflow: error: {path}:2: bad value for {key!r}: {why}\n"
 
 
 def test_cli_stage_without_its_input_exits_2_with_one_line(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from splitflow import (SamplerConfig, TeacherModel, TeacherTrainConfig,
-                       cfg_velocity, fm_loss, interpolate, ode_sample,
+                       cfg_velocity, fm_loss, interpolate, make_rng, ode_sample,
                        train_teacher)
-from splitflow.flow import model_field
+from splitflow.flow import model_field, time_embedding
 
 
 def make_teacher(seed=0, state_dim=2, cond_dim=1, hidden=(8, 8)):
@@ -281,3 +281,23 @@ def test_teacher_learns_point_mass():
                       eps, SamplerConfig(num_steps=100))
     err = np.linalg.norm(z - x0, axis=1).mean()
     assert err <= 0.05
+
+
+# ---- the time embedding of a scalar time, pinned to the per-row form --------------
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+def test_embed_matches_the_per_row_form_byte_for_byte(dim):
+    def reference(z, t):
+        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (z.shape[0],))
+        return time_embedding(t, dim, dtype=z.dtype)
+
+    model = TeacherModel(2, 1, hidden_sizes=(4,), time_embed_dim=dim, rng=make_rng(0))
+    rng = make_rng(dim)
+    for rows in (1, 2, 255, 256, 2048):
+        for dtype in (np.float32, np.float64):
+            z = np.zeros((rows, 2), dtype=dtype)
+            for t in (0.0, 1.0, rng.random(), np.float64(rng.random()), rng.random(rows)):
+                got, want = model._embed(z, t), reference(z, t)
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == (rows, dim) and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()

@@ -55,6 +55,12 @@ def test_loss_weights_reject_negative():
         LossWeights(lambda3=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_loss_weights_reject_non_finite(value):
+    with pytest.raises(ValueError, match="lambda1 must be finite"):
+        LossWeights(lambda1=value)
+
+
 def test_weight_schedule_constant():
     s = WeightSchedule("constant-1")
     assert all(s(t) == 1.0 for t in (0.0, 0.37, 1.0))
