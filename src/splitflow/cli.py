@@ -25,7 +25,7 @@ STAGE_FOR_COMMAND = {
 def _add_common(parser):
     parser.add_argument("--config", type=str, default=None,
                         help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=nonnegative_int, default=None,
                         help="override the master seed")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the configuration and touch nothing")
@@ -35,6 +35,13 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:    # a master seed keys a Philox generator, which takes no negative key
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
     return value
 
 

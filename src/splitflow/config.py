@@ -59,11 +59,6 @@ class ExperimentConfig:
     stage2_lambda4: float = 0.5
     stage2_vsd_t_min: float = 0.02
     stage2_vsd_t_max: float = 0.98
-    stage2_schedule: str = "constant-1"
-    # sampler
-    sampler_steps: int = 100
-    sampler_scheme: str = "euler"
-    sampler_guidance_scale: float | None = None
     # evaluation
     eval_n_seeds: int = 20
     eval_sample_count: int = 2048
@@ -95,14 +90,14 @@ _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
                      float | None: _opt_float}[f.type]
             for f in fields(ExperimentConfig)}
 
-# The least value of each bounded count and weight; probability and dropout keys
-# lie in [0, 1], learning rates (`*_lr`) are positive and every float is finite.
+# The least value of each bounded count, weight and seed; probability and dropout
+# keys lie in [0, 1], learning rates (`*_lr`) are positive and every float is finite.
 _LEAST = {"dataset_size": 1, "degrade_factor": 1, "degrade_noise_std": 0, "model_hidden": 1,
           "model_layers": 1, "model_time_embed_dim": 2, "teacher_weight_decay": 0,
           "stage2_lambda1": 0, "stage2_lambda2": 0, "stage2_lambda3": 0, "stage2_lambda4": 0,
           "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
           "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
-          "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1}
+          "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -137,8 +132,6 @@ def parse_config(text, path="<string>"):
                 raise ValueError(f"{value!r} is out of range")
             if key == "model_time_embed_dim" and value % 2:
                 raise ValueError(f"{value!r} is not even")
-            if key == "stage2_schedule" and value != "constant-1":
-                raise ValueError(f"{value!r} is not 'constant-1', the one schedule")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         setattr(config, key, value)

@@ -109,13 +109,15 @@ class AdamW:
         self.v = [np.zeros_like(p.values) for p in self.params]
 
     def step(self):
+        """Update every parameter; a non-finite gradient raises before anything changes."""
+        for name, p in zip(self.names, self.params):
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
         bias1 = 1.0 - BETA1 ** self.step_count
         bias2 = 1.0 - BETA2 ** self.step_count
-        for name, p, m, v in zip(self.names, self.params, self.m, self.v):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
             # In place through two scratch arrays, but the same operations in
             # the same order as `p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`,
             # so every result is bit-identical to that form.

@@ -142,7 +142,6 @@ def _run_refine(config, train_data, teacher, student):
         full_interval_probability=config.stage1_full_interval_probability,
         vsd_t_min=config.stage2_vsd_t_min,
         vsd_t_max=config.stage2_vsd_t_max,
-        schedule=config.stage2_schedule,
         seed=stage_seed(config.seed, "refine"))
     trainer = Stage2Trainer(student, teacher, regularizer, disc, s2,
                             feature_net=FeatureNet(state_dim))

@@ -174,7 +174,6 @@ class Stage2Config:
     full_interval_probability: float = 0.25
     vsd_t_min: float = 0.02
     vsd_t_max: float = 0.98
-    schedule: str = "constant-1"
     seed: int = 0
 
     def __post_init__(self):
@@ -193,7 +192,6 @@ class Stage2Trainer:
         self.disc = disc
         self.config = config
         self.feature_net = feature_net
-        self.schedule = WeightSchedule(config.schedule)
         self.opt_student = AdamW(student.named_parameters(),
                                  learning_rate=config.learning_rate)
         self.opt_reg = AdamW(regularizer.named_parameters(),
@@ -228,7 +226,7 @@ class Stage2Trainer:
         l_rec = reconstruction_loss(z_hat, x, self.feature_net)
         l_gen = gan_generator_loss(disc, z_hat)
         vsd_grad, _ = vsd_gradient(z_hat, teacher, self.regularizer, cond,
-                                   self.schedule, rng,
+                                   WeightSchedule(), rng,
                                    t_bounds=(config.vsd_t_min, config.vsd_t_max))
 
         breakdown = {

@@ -1,5 +1,7 @@
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +29,12 @@ def test_parse_overrides_and_comments():
     dataset_size = 128
     teacher_lr = 5e-4
     stage1_guidance_scale = none
-    sampler_guidance_scale = 4.5
     emit_svg = true
     """
     config = parse_config(text)
     assert config.dataset_size == 128
     assert config.teacher_lr == 5e-4
     assert config.stage1_guidance_scale is None
-    assert config.sampler_guidance_scale == 4.5
     assert config.emit_svg is True
 
 
@@ -64,22 +64,22 @@ def test_parse_rejects_bad_value_with_location():
     ("stage2_vsd_t_max = 1.5", "stage2_vsd_t_max"),
     ("model_time_embed_dim = 7", "model_time_embed_dim"),
     ("model_time_embed_dim = 0", "model_time_embed_dim"),
-    ("stage2_schedule = cosine", "stage2_schedule"),
     ("dataset_name = tiny-patches\ndegrade_factor = 3", "degrade_factor"),
     ("stage2_lambda1 = -1", "stage2_lambda1"),
     ("stage2_lambda2 = -0.5", "stage2_lambda2"),
     ("stage2_lambda3 = -1e-3", "stage2_lambda3"),
     ("stage2_lambda4 = -2", "stage2_lambda4"),
     ("degrade_noise_std = -0.02", "degrade_noise_std"),
+    ("seed = -3", "seed"),
 ], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
         "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1",
-        "odd-time-embed-dim", "zero-time-embed-dim", "unknown-stage2-schedule",
+        "odd-time-embed-dim", "zero-time-embed-dim",
         "patch-side-not-divisible", "negative-lambda1", "negative-lambda2",
-        "negative-lambda3", "negative-lambda4", "negative-noise-std"])
+        "negative-lambda3", "negative-lambda4", "negative-noise-std", "negative-seed"])
 def test_parse_rejects_out_of_range_value_with_location(line, key):
     lineno = 1 + len(line.splitlines())    # the last line read names the error
     with pytest.raises(ConfigError, match=rf"exp\.cfg:{lineno}: bad values? for .*'{key}'"):
-        parse_config(f"seed = 1\n{line}", path="exp.cfg")
+        parse_config(f"dataset_size = 64\n{line}", path="exp.cfg")
 
 
 def test_parse_checks_degrade_factor_against_the_patch_side():
@@ -225,6 +225,37 @@ def test_pipeline_builds_the_training_set_once_per_call(tmp_path, monkeypatch):
     assert sizes == [config.dataset_size] * 3 + [config.eval_sample_count]
     for name, data in together.items():
         assert (run / name).read_bytes() == data, name
+
+
+def test_stage_commands_in_separate_processes_match_one_pipeline_call(tmp_path):
+    # the criterion-9 config; each stage command reads its inputs from disk only
+    config = ExperimentConfig(
+        dataset_size=128, model_hidden=16, model_layers=2, model_time_embed_dim=8,
+        teacher_iterations=40, teacher_batch_size=32, stage1_iterations=40,
+        stage1_batch_size=32, stage2_iterations=10, stage2_batch_size=16,
+        eval_n_seeds=3, eval_sample_count=64, seed=7, output_dir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "c9.cfg"
+    cfg_path.write_text(dump_config(config))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*commands):
+        for command in commands:
+            subprocess.run([sys.executable, "-m", "splitflow.cli", command,
+                            "--config", str(cfg_path)], env=env, check=True,
+                           capture_output=True)
+        run_dir = Path(config.output_dir)
+        files = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        shutil.rmtree(run_dir)
+        return files
+
+    together = run("pipeline")
+    apart = run("train-teacher", "distill", "refine", "eval")
+    assert len(together) == 10
+    assert sorted(apart) == sorted(together)
+    for name, data in together.items():
+        assert apart[name] == data, name
 
 
 def test_pipeline_training_set_is_read_only(tmp_path):
@@ -378,6 +409,33 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"splitflow: error: {path}:1: unknown key 'warp_speed'\n"
+
+
+@pytest.mark.parametrize("key", ["sampler_steps", "sampler_scheme", "sampler_guidance_scale",
+                                 "stage2_schedule"])
+def test_cli_rejects_deleted_keys_as_unknown(tmp_path, capsys, key):
+    # keys that no stage read; a file that still sets one is refused, not ignored
+    path = tmp_path / "old.cfg"
+    path.write_text(f"seed = 1\n{key} = 5\n")
+    assert main(["pipeline", "--config", str(path), "--dry-run"]) == 2
+    assert capsys.readouterr() == ("", f"splitflow: error: {path}:2: unknown key {key!r}\n")
+
+
+@pytest.mark.parametrize("command", ["diagnose-isc", "sample", "train-teacher"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--seed: expected a nonnegative integer, got -1" in err
+    path = tmp_path / "negative.cfg"
+    path.write_text(f"output_dir = {config.output_dir}\nseed = -3\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"splitflow: error: {path}:2: bad value for 'seed': "
+                                   "-3 is out of range\n")
+    assert not os.path.exists(config.output_dir)
 
 
 def test_cli_bad_config_value_exits_2_with_one_line(tmp_path, capsys):

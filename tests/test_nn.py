@@ -98,11 +98,19 @@ def test_adamw_single_step_sign_update():
 
 
 def test_adamw_nan_grad_names_parameter():
-    p = Tensor(np.zeros(2, dtype=np.float32))
-    p.grad = np.array([np.nan, 0.0], dtype=np.float32)
-    opt = AdamW([("layer3.weight", p)], learning_rate=1e-3)
+    a = Tensor(np.ones(2, dtype=np.float32))
+    b = Tensor(np.zeros(2, dtype=np.float32))
+    opt = AdamW([("layer2.weight", a), ("layer3.weight", b)], learning_rate=0.1)
+    a.grad = np.array([1.0, -2.0], dtype=np.float32)
+    b.grad = np.array([0.5, 0.25], dtype=np.float32)
+    opt.step()    # nonzero moments, so that an update in place would show
+    before = [x.tobytes() for x in (a.values, b.values, *opt.m, *opt.v)]
+    b.grad = np.array([np.nan, 0.0], dtype=np.float32)
     with pytest.raises(FloatingPointError, match="layer3.weight"):
         opt.step()
+    # the check runs before any update: the parameter ahead of 'b' is untouched too
+    assert [x.tobytes() for x in (a.values, b.values, *opt.m, *opt.v)] == before
+    assert opt.step_count == 1
 
 
 @pytest.mark.parametrize("sizes", [[3, 1], [3, 16, 4], [5, 32, 32, 2]])

@@ -18,6 +18,12 @@ It imports splitflow from the `src/` next to this script. The runs are:
   and `labels`, in that order. The patch sets span many row blocks of the
   patch generator, where the 64-row `sf_patches` run fills only part of one.
 
+Each checkpoint gets a second line, `<run>/<artifact>#no-fingerprint`: the
+sha256 of the file with `config_fingerprint` dropped from its JSON header and
+the header re-serialized as `save_checkpoint` writes it. A change to the
+config key set moves every fingerprint, and so every full-file line; these
+lines show whether anything else in the checkpoints moved.
+
 Each run writes to a fixed directory under /tmp, because every checkpoint
 header records the config fingerprint and the fingerprint covers
 `output_dir`. A run directory is removed before its run and after hashing,
@@ -29,8 +35,10 @@ Output lines are `<run>/<artifact> <sha256>`, and
 
 import contextlib
 import hashlib
+import json
 import os
 import shutil
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -77,6 +85,19 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def sha256_without_fingerprint(path):
+    """sha256 of a checkpoint whose header has no `config_fingerprint`: magic,
+    version, header length, header JSON (sorted keys, no spaces) and payload."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + meta_len].decode("utf-8"))
+    del header["config_fingerprint"]
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(data[:8] + struct.pack("<I", len(blob)) + blob
+                          + data[12 + meta_len:]).hexdigest()
+
+
 def hash_samples(config, scratch):
     """`splitflow sample --num 33 --steps k` from the run of `config`."""
     cfg_path = os.path.join(scratch, "sample.cfg")
@@ -112,6 +133,9 @@ def main():
                 for artifact in sorted(os.listdir(config.output_dir)):
                     path = os.path.join(config.output_dir, artifact)
                     lines.append(f"{name}/{artifact} {sha256(path)}")
+                    if artifact.endswith(".ckpt"):
+                        lines.append(f"{name}/{artifact}#no-fingerprint "
+                                     f"{sha256_without_fingerprint(path)}")
             lines.extend(f"{name} {digest}" for name, digest
                          in hash_samples(RUNS[SAMPLE_FROM], scratch))
             lines.extend(f"{name} {digest}" for name, digest in hash_datasets())
