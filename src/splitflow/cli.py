@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import make_rng
+from .data import KEY_LIMIT, make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
 from .pipeline import STAGE_TABLE, STAGES, PipelineError, _eval_data, emit_report, run_pipeline
@@ -25,7 +25,7 @@ STAGE_FOR_COMMAND = {
 def _add_common(parser):
     parser.add_argument("--config", type=str, default=None,
                         help="path to a key = value config file")
-    parser.add_argument("--seed", type=nonnegative_int, default=None,
+    parser.add_argument("--seed", type=master_seed, default=None,
                         help="override the master seed")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the configuration and touch nothing")
@@ -38,10 +38,13 @@ def positive_int(text):
     return value
 
 
-def nonnegative_int(text):
+def master_seed(text):
+    """A master seed keys Philox generators, whose keys lie in [0, 2**128)."""
     value = int(text)
-    if value < 0:    # a master seed keys a Philox generator, which takes no negative key
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    if value >= KEY_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**128, got {text}")
     return value
 
 

@@ -8,7 +8,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .data import DATASET_NAMES, PATCH_SIZE
+from .data import DATASET_NAMES, KEY_LIMIT, PATCH_SIZE
 
 
 def _opt_float(text):
@@ -97,7 +97,13 @@ _LEAST = {"dataset_size": 1, "degrade_factor": 1, "degrade_noise_std": 0, "model
           "stage2_lambda1": 0, "stage2_lambda2": 0, "stage2_lambda3": 0, "stage2_lambda4": 0,
           "teacher_iterations": 0, "teacher_batch_size": 1, "stage1_iterations": 0,
           "stage1_batch_size": 1, "stage2_iterations": 0, "stage2_batch_size": 1,
-          "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1, "seed": 0}
+          "eval_n_seeds": 2, "eval_sample_count": 1, "eval_n_projections": 1, "seed": 0,
+          "dataset_seed_offset": 0}
+
+# Exclusive upper bounds that keep every Philox key in [0, 2**128): the master
+# seed is a key itself, and a dataset key is `stage_seed(...) + dataset_seed_offset`
+# with a stage seed below 2**64.
+_BELOW = {"seed": KEY_LIMIT, "dataset_seed_offset": KEY_LIMIT - 2 ** 64 + 1}
 
 
 class ConfigError(ValueError):
@@ -127,6 +133,7 @@ def parse_config(text, path="<string>"):
             if key.endswith("_lr") and value <= 0:
                 raise ValueError(f"{value!r} is not positive")
             if (key in _LEAST and value < _LEAST[key]
+                    or key in _BELOW and value >= _BELOW[key]
                     or key == "dataset_name" and value not in DATASET_NAMES
                     or key.endswith(("_probability", "_dropout")) and not 0 <= value <= 1):
                 raise ValueError(f"{value!r} is out of range")

@@ -1,8 +1,8 @@
 """Toy conditional datasets and the degradation operator.
 
 All randomness flows through numpy's Philox counter-based generator keyed by
-an explicit 64-bit seed, so regeneration with the same (name, size, seed) is
-bit-identical across platforms.
+an explicit integer seed below `KEY_LIMIT` (2**128), so regeneration with the
+same (name, size, seed) is bit-identical across platforms.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,8 @@ PATCH_BLOCK = 256
 # Fixed projection direction used to build the 1D observation for 2D tasks.
 PROJECTION_DIRECTION = np.array([0.8, 0.6], dtype=np.float64)
 OBSERVATION_NOISE_STD = 0.05
+# A Philox key lies in [0, KEY_LIMIT).
+KEY_LIMIT = 2 ** 128
 
 
 def make_rng(seed):

@@ -4,7 +4,7 @@ minibatch loop every training stage runs."""
 
 import numpy as np
 
-from .autodiff import Tensor, backward_multi, sigmoid_values, stop_gradient
+from .autodiff import Tensor, backward_multi, sigmoid_values
 from .data import make_rng
 
 # AdamW's moment decay rates and denominator floor.
@@ -41,24 +41,21 @@ class Mlp:
                 f"layer 0 expects input size {self.layer_sizes[0]}, "
                 f"got {x.values.shape[-1]}"
             )
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if detach_params:
-                w, b = stop_gradient(w), stop_gradient(b)
-            h = h @ w + b
-            if i != last:
-                h = h.silu()
-        return h
+            x = _layer(x, w, b, i != last, detach_params)
+        return x
 
     __call__ = forward
 
     def apply(self, x):
-        """`forward(x).values` without a tape: the same numpy operations in the same order."""
+        """`forward(x).values` without a tape: the layer node's arithmetic, with
+        the SiLU product taken in place in the pre-activation."""
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w.values + b.values
-            if i < len(self.weights) - 1:
-                x = x * sigmoid_values(x)
+            x = _affine(x, w.values, b.values)
+            if i != last:
+                x *= sigmoid_values(x)
         return x
 
     def parameters(self):
@@ -70,6 +67,50 @@ class Mlp:
             named.append((f"layer{i}.weight", w))
             named.append((f"layer{i}.bias", b))
         return named
+
+
+def _affine(h, w, b):
+    """`h @ w + b` on arrays, the bias added in place: the pre-activation of
+    every layer, taped or not."""
+    a = h @ w
+    a += b
+    return a
+
+
+def _layer(h, w, b, hidden, detach_params):
+    """One tape node for a dense layer: `(h @ w + b).silu()`, or `h @ w + b`
+    for the last layer.
+
+    The backward replays the arithmetic of that chain of engine nodes in the
+    order the sweep would run it, so every gradient is bit-identical to the
+    chain's. A hidden layer's `a` and `s` are read by no other node and the
+    tape is single-use, so the backward overwrites them as scratch; the last
+    layer's `a` is its output and is never written. With `detach_params` the
+    weight and bias are not parents and take no gradient.
+    """
+    a = _affine(h.values, w.values, b.values)
+    s = sigmoid_values(a) if hidden else None
+    out = a * s if hidden else a
+
+    def backward(grad):
+        g = grad
+        if hidden:
+            # silu's two contributions to the pre-activation, product first:
+            # grad * s, then ((grad * a) * s) * (1 - s) computed in a and s
+            g = grad * s
+            t = np.multiply(grad, a, out=a)
+            t *= s
+            np.subtract(1.0, s, out=s)
+            t *= s
+            g += t
+        if not detach_params:
+            b._accumulate(g)
+        if h._live:
+            h._accumulate(g @ w.values.swapaxes(-1, -2))
+        if not detach_params and w._live:
+            w._accumulate(h.values.swapaxes(-1, -2) @ g)
+
+    return Tensor(out, (h,) if detach_params else (h, w, b), backward)
 
 
 class Model:

@@ -29,9 +29,11 @@ def emit_report(records, path, columns):
     columns."""
     lines = [",".join(columns)]
     if isinstance(records, np.ndarray):
-        # one template per row: `%.6g` formats a float as `{:.6g}` does
-        template = ",".join(["%.6g"] * records.shape[1])
-        lines.extend(template % tuple(row) for row in records.tolist())
+        # one template for the whole array: `%.6g` formats a float as `{:.6g}` does;
+        # a zero-row array writes the header alone
+        if records.shape[0]:
+            row = ",".join(["%.6g"] * records.shape[1])
+            lines.append("\n".join([row] * records.shape[0]) % tuple(records.ravel().tolist()))
     else:
         rows = ([rec.get(c, "") for c in columns] for rec in records)
         lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)

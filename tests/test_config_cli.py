@@ -71,11 +71,15 @@ def test_parse_rejects_bad_value_with_location():
     ("stage2_lambda4 = -2", "stage2_lambda4"),
     ("degrade_noise_std = -0.02", "degrade_noise_std"),
     ("seed = -3", "seed"),
+    (f"seed = {2 ** 128}", "seed"),
+    ("dataset_seed_offset = -1", "dataset_seed_offset"),
+    (f"dataset_seed_offset = {2 ** 128 - 2 ** 64 + 1}", "dataset_seed_offset"),
 ], ids=["one-seed", "probability-above-1", "negative-iterations", "unknown-dataset",
         "zero-batch", "negative-dropout", "vsd-t-min-above-max", "vsd-t-max-above-1",
         "odd-time-embed-dim", "zero-time-embed-dim",
         "patch-side-not-divisible", "negative-lambda1", "negative-lambda2",
-        "negative-lambda3", "negative-lambda4", "negative-noise-std", "negative-seed"])
+        "negative-lambda3", "negative-lambda4", "negative-noise-std", "negative-seed",
+        "seed-2**128", "negative-seed-offset", "seed-offset-past-the-key-range"])
 def test_parse_rejects_out_of_range_value_with_location(line, key):
     lineno = 1 + len(line.splitlines())    # the last line read names the error
     with pytest.raises(ConfigError, match=rf"exp\.cfg:{lineno}: bad values? for .*'{key}'"):
@@ -108,6 +112,17 @@ def test_fingerprint_tracks_content_not_formatting():
     c = parse_config("seed = 4\ndataset_size = 64")
     assert a.fingerprint() != c.fingerprint()
     assert len(a.fingerprint()) == 16
+
+
+def test_parse_accepts_philox_keys_up_to_their_bounds(tmp_path):
+    # the largest master seed and offset still make keys, with any stage seed
+    config = parse_config(f"seed = {2 ** 128 - 1}\ndataset_seed_offset = {2 ** 128 - 2 ** 64}")
+    assert (config.seed, config.dataset_seed_offset) == (2 ** 128 - 1, 2 ** 128 - 2 ** 64)
+    make_rng(config.seed)
+    make_rng(2 ** 64 - 1 + config.dataset_seed_offset)
+    config = tiny_config(tmp_path, seed=config.seed, dataset_seed_offset=config.dataset_seed_offset)
+    assert pipeline._train_data(config)[0].shape == (64, 2)
+    assert pipeline._eval_data(config)[0].shape == (32, 2)
 
 
 def test_stage_seed_is_stable_and_stage_dependent():
@@ -153,6 +168,7 @@ def test_emit_report_array_matches_per_value_formatting(tmp_path, dtype):
     rng = make_rng(3)
     for values in (np.array(special).reshape(7, 2),
                    rng.standard_normal((2048, 4)) * 10.0 ** rng.integers(-9, 9, (2048, 4)),
+                   rng.standard_normal((33, 256)), rng.standard_normal((3, 5)).T,
                    np.zeros((0, 3)), np.array([[np.nan]])):
         with np.errstate(over="ignore"):    # float64 extremes become float32 infinities
             values = values.astype(dtype)
@@ -436,6 +452,28 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", f"splitflow: error: {path}:2: bad value for 'seed': "
                                    "-3 is out of range\n")
     assert not os.path.exists(config.output_dir)
+
+
+@pytest.mark.parametrize("command", ["diagnose-isc", "train-teacher"])
+def test_cli_seeds_at_the_philox_key_bounds(tmp_path, capsys, command):
+    # the largest master seed and offset run; one past either exits 2
+    cfg_path, config = write_tiny_config_file(tmp_path, dataset_seed_offset=2 ** 128 - 2 ** 64)
+    trials = ["--trials", "3"] if command == "diagnose-isc" else []
+    assert main([command, "--config", cfg_path, "--seed", str(2 ** 128 - 1), *trials]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--seed", str(2 ** 128)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"--seed: expected an integer below 2**128, got {2 ** 128}" in err
+    path = tmp_path / "bad.cfg"
+    for key, value in [("seed", 2 ** 128), ("dataset_seed_offset", -1),
+                       ("dataset_seed_offset", 2 ** 128 - 2 ** 64 + 1)]:
+        path.write_text(f"output_dir = {config.output_dir}\n{key} = {value}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"splitflow: error: {path}:2: bad value for "
+                                       f"{key!r}: {value} is out of range\n")
 
 
 def test_cli_bad_config_value_exits_2_with_one_line(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from splitflow import AdamW, Mlp, Tensor, backward_multi
-from splitflow.nn import descend
+from splitflow import AdamW, Mlp, Tensor, backward_multi, stop_gradient
+from splitflow.nn import descend, mse
 
 
 def sigmoid(v):
@@ -141,6 +141,140 @@ def test_optimizer_runs_bit_identical():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+# ---- the layer node: one tape node per dense layer --------------------------------
+
+def unfused_forward(net, x, detach_params=False):
+    """`Mlp.forward` as the chain of engine nodes the layer node replaces."""
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if detach_params:
+            w, b = stop_gradient(w), stop_gradient(b)
+        h = (h @ w) + b
+        if i != last:
+            h = h.silu()
+    return h
+
+
+def layer_net(sizes, dtype=np.float32):
+    net = Mlp(sizes)
+    rng = np.random.default_rng(7)
+    for p in net.parameters():    # nonzero biases, pre-activations of both signs
+        p.values = rng.normal(size=p.values.shape).astype(dtype)
+    return net
+
+
+def grad_bytes(tensor):
+    return None if tensor.grad is None else tensor.grad.tobytes()
+
+
+def tape_nodes(roots):
+    """Every tensor reachable from `roots` through parent links."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("sizes", [[3, 3], [4, 16, 4], [4, 32, 32, 4]],
+                         ids=["last-layer-only", "one-hidden", "two-hidden"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("detach_params", [False, True], ids=["params", "detached"])
+@pytest.mark.parametrize("uses", [1, 3])
+def test_layer_node_matches_the_unfused_chain_byte_for_byte(sizes, dtype, detach_params, uses):
+    # uses=3 runs the net on one input and twice in a row on another, so every
+    # parameter takes three contributions in one sweep, one through a layer
+    # node's input gradient
+    net = layer_net(sizes, dtype)
+    rng = np.random.default_rng(8)
+    xs = [(3.0 * rng.normal(size=(33, sizes[0]))).astype(dtype) for _ in range(2)]
+    seeds = [rng.normal(size=(33, sizes[-1])).astype(dtype) for _ in range(2)]
+
+    def run(forward):
+        for p in net.parameters():
+            p.grad = None
+        inputs = [Tensor(x) for x in xs]
+        outs = [forward(net, inputs[0], detach_params)]
+        if uses == 3:
+            outs.append(forward(net, forward(net, inputs[1], detach_params), detach_params))
+        backward_multi(list(zip(outs, seeds)))    # every leaf wanted, as in grad_check
+        return ([o.values.tobytes() for o in outs], [grad_bytes(x) for x in inputs],
+                [grad_bytes(p) for p in net.parameters()])
+
+    want = run(unfused_forward)
+    got = run(Mlp.forward)
+    assert got == want
+    values, input_grads, param_grads = got
+    assert all(g is not None for g in input_grads[:len(values)])
+    if detach_params:
+        assert param_grads == [None] * len(param_grads)
+    else:
+        assert None not in param_grads
+
+
+def test_layer_node_records_one_node_per_layer():
+    net = layer_net([4, 16, 16, 4])
+    out = net.forward(np.ones((2, 4), dtype=np.float32))
+    interior = [t for t in tape_nodes([out]) if t._backward is not None]
+    assert len(interior) == 3
+    detached = net.forward(np.ones((2, 4), dtype=np.float32), detach_params=True)
+    assert len(tape_nodes([detached])) == 4    # the input and three layer nodes
+
+
+class CountingSwapaxes(np.ndarray):
+    """An array that counts calls to its `swapaxes`."""
+    calls = 0
+
+    def swapaxes(self, *axes):
+        CountingSwapaxes.calls += 1
+        return super().swapaxes(*axes)
+
+
+@pytest.mark.parametrize("behind_stop_gradient", [True, False])
+def test_layer_node_computes_no_input_gradient_behind_stop_gradient(behind_stop_gradient):
+    # `g @ w.T` reads the transposed weight; the first layer's weight counts
+    # the transposes taken of it
+    net = layer_net([4, 16, 4])
+    x = np.random.default_rng(9).normal(size=(8, 4)).astype(np.float32)
+    target = np.zeros((8, 4), dtype=np.float32)
+    for p in net.parameters():
+        p.grad = None
+    backward_multi([(mse(unfused_forward(net, Tensor(x)), target), np.float32(1.0))],
+                   wanted=net.parameters())
+    want = [grad_bytes(p) for p in net.parameters()]
+    for p in net.parameters():
+        p.grad = None
+
+    w0 = net.weights[0]
+    w0.values = w0.values.view(CountingSwapaxes)
+    x_in = stop_gradient(x) if behind_stop_gradient else Tensor(x)
+    loss = mse(net.forward(x_in), target)
+    CountingSwapaxes.calls = 0
+    wanted = net.parameters() + ([] if behind_stop_gradient else [x_in])
+    backward_multi([(loss, np.float32(1.0))], wanted=wanted)
+    assert CountingSwapaxes.calls == (0 if behind_stop_gradient else 1)
+    assert (x_in.grad is None) == behind_stop_gradient
+    assert [grad_bytes(p) for p in net.parameters()] == want
+
+
+def test_descend_leaves_every_node_value_as_the_forward_pass_made_it():
+    # the backward overwrites a hidden layer's private arrays; no node's output
+    # may be among them
+    net = layer_net([4, 16, 16, 4])
+    opt = AdamW(net.named_parameters(), learning_rate=1e-2)
+    x = Tensor(np.random.default_rng(10).normal(size=(8, 4)).astype(np.float32))
+    out = net.forward(net.forward(x))
+    loss = mse(out, np.zeros((8, 4), dtype=np.float32))
+    params = {id(p) for p in net.parameters()}
+    nodes = [t for t in tape_nodes([loss]) if id(t) not in params]
+    before = [t.values.tobytes() for t in nodes]
+    descend(opt, loss, "test loss")
+    assert [t.values.tobytes() for t in nodes] == before
 
 
 # ---- descend: the one update step ------------------------------------------------
