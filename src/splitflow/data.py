@@ -5,6 +5,8 @@ an explicit integer seed below `KEY_LIMIT` (2**128), so regeneration with the
 same (name, size, seed) is bit-identical across platforms.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,13 @@ def make_rng(seed):
 class DegradationParams:
     downsample_factor: int = 2
     noise_std: float = 0.0
+
+    def __post_init__(self):
+        f = self.downsample_factor
+        if not isinstance(f, numbers.Integral) or isinstance(f, bool) or f < 1:
+            raise ValueError(f"downsample_factor must be an integer >= 1, got {f!r}")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
 
 
 @dataclass
@@ -59,8 +68,8 @@ def degrade(x_h, params, rng):
     blocks = x.reshape(*x.shape[:-2], h, f, w, f)
     out = blocks.mean(axis=(-3, -1))
     if params.noise_std > 0:
-        out = out + rng.normal(0.0, params.noise_std, size=out.shape)
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+        out += rng.normal(0.0, params.noise_std, size=out.shape)
+    return np.clip(out, 0.0, 1.0, out=out).astype(np.float32)
 
 
 def _two_moons(n, rng):
@@ -75,10 +84,66 @@ def _two_moons(n, rng):
     return x + noise, labels
 
 
+def _stripes(u, xx, yy):
+    """Stripe rows from their (frequency, phase, angle) uniforms on [0, 1)."""
+    low, high = np.array([2.0, 0.0, 0.0]), np.array([6.0, 2.0 * np.pi, np.pi])
+    freq, phase, angle = (col[:, None, None] for col in (low + (high - low) * u).T)
+    t = np.cos(angle) * xx
+    t += np.sin(angle) * yy
+    t *= 2.0 * np.pi * freq
+    t += phase
+    np.sin(t, out=t)
+    t *= 0.5
+    t += 0.5
+    return t
+
+
+def _checkers(freqs, phases, xx, yy):
+    """Checker rows from their integer (fx, fy) and (px, py) uniforms on
+    [0, 1), which are the phases themselves: 0 + 1 * u is u."""
+    fx, fy = (col[:, None, None] for col in freqs.T)
+    px, py = (col[:, None, None] for col in phases.T)
+    c = xx + px
+    c *= fx
+    c *= 2
+    np.floor(c, out=c)
+    t = yy + py
+    t *= fy
+    t *= 2
+    np.floor(t, out=t)
+    c += t
+    # c % 2, exactly, for the whole numbers c holds: c / 2 - floor(c / 2) is
+    # 0 or 0.5. numpy's float remainder takes about three times as long.
+    c *= 0.5
+    np.floor(c, out=t)
+    c -= t
+    c *= 2
+    return c
+
+
+def _band_limited_noise(planes, u):
+    """Noise rows from their real and imaginary spectrum planes and their
+    cutoff uniforms on [0, 1), each low-passed and stretched to [0, 1]."""
+    side = planes.shape[-1]
+    radius = np.sqrt(np.fft.fftfreq(side)[None, :] ** 2 + np.fft.fftfreq(side)[:, None] ** 2)
+    mask = radius <= (0.15 + (0.45 - 0.15) * u)[:, None, None]
+    img = np.fft.ifft2((planes[:, 0] + 1j * planes[:, 1]) * mask).real
+    lo = img.min(axis=(1, 2), keepdims=True)
+    hi = img.max(axis=(1, 2), keepdims=True)
+    img -= lo
+    img /= hi - lo + 1e-12
+    return img
+
+
 def _patch_block(kinds, rng, out):
     """Fill `out` (one row per kind) with patches: each row's parameters are
     drawn in row order, as one row at a time would draw them, then each kind
-    is computed for all of its rows at once."""
+    is computed for all of its rows at once.
+
+    A row takes one RNG call per parameter group (the two checker
+    frequencies take two: one `size=2` call costs more). Uniforms are drawn
+    on [0, 1) and mapped to their ranges by the kind's function, as
+    `Generator.uniform` maps them: low + (high - low) * u."""
     side = PATCH_SIZE
     yy, xx = np.mgrid[0:side, 0:side] / side
     n = len(kinds)
@@ -89,33 +154,21 @@ def _patch_block(kinds, rng, out):
     checker_p = np.empty((n, 2))
     spectrum = np.empty((n, 2, side, side))
     cutoff = np.empty(n)
-    for i, kind in enumerate(kinds):
+    for i, kind in enumerate(kinds.tolist()):
         if kind == 0:
-            stripe[i] = (rng.uniform(2.0, 6.0), rng.uniform(0.0, 2.0 * np.pi),
-                         rng.uniform(0.0, np.pi))
+            rng.random(out=stripe[i])
         elif kind == 1:
             checker_f[i] = (rng.integers(1, 5), rng.integers(1, 5))
-            checker_p[i] = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+            rng.random(out=checker_p[i])
         else:
-            spectrum[i, 0] = rng.normal(size=(side, side))
-            spectrum[i, 1] = rng.normal(size=(side, side))
-            cutoff[i] = rng.uniform(0.15, 0.45)
+            spectrum[i] = rng.normal(size=(2, side, side))
+            cutoff[i] = rng.random()
     rows = kinds == 0
-    freq, phase, angle = (col[:, None, None] for col in stripe[rows].T)
-    proj = np.cos(angle) * xx + np.sin(angle) * yy
-    out[rows] = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj + phase)
+    out[rows] = _stripes(stripe[rows], xx, yy)
     rows = kinds == 1
-    fx, fy = (col[:, None, None] for col in checker_f[rows].T)
-    px, py = (col[:, None, None] for col in checker_p[rows].T)
-    out[rows] = (np.floor((xx + px) * fx * 2) + np.floor((yy + py) * fy * 2)) % 2
+    out[rows] = _checkers(checker_f[rows], checker_p[rows], xx, yy)
     rows = kinds == 2
-    planes = spectrum[rows]
-    radius = np.sqrt(np.fft.fftfreq(side)[None, :] ** 2 + np.fft.fftfreq(side)[:, None] ** 2)
-    mask = radius <= cutoff[rows, None, None]
-    img = np.real(np.fft.ifft2((planes[:, 0] + 1j * planes[:, 1]) * mask))
-    lo = img.min(axis=(1, 2), keepdims=True)
-    hi = img.max(axis=(1, 2), keepdims=True)
-    out[rows] = (img - lo) / (hi - lo + 1e-12)
+    out[rows] = _band_limited_noise(spectrum[rows], cutoff[rows])
 
 
 def _procedural_patches(n, rng):

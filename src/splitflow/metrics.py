@@ -16,7 +16,14 @@ SW_BLOCK = 32
 
 def sliced_wasserstein(a, b, n_projections=DEFAULT_N_PROJECTIONS, rng=None):
     """Mean over random unit projections of the 1D 2-Wasserstein distance
-    between the projected empirical distributions (sorted matching)."""
+    between the projected empirical distributions (sorted matching).
+
+    For states of 16 or more dimensions the last bits depend on BLAS:
+    `a @ dirs` can round a column differently with the BLAS thread count and
+    with the number of columns in the block, and the distance moves with it.
+    The pipeline passes only 2-D states and 1-D gradient magnitudes, for
+    which no difference has shown.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .config import stage_seed
 from .data import generate_dataset, DegradationParams, make_rng
 from .distill import Stage1Config, one_step_sample, train_student
@@ -228,12 +228,24 @@ def _write_outputs(config, stage, outputs):
             emit_svg_plot(value, "iteration", stage.plot, path[:-len(".csv")] + ".svg")
 
 
+def _check_finished(stage, paths):
+    """A stage whose outputs exist is finished only if its checkpoints load:
+    a truncated or corrupt one raises a PipelineError naming the stage."""
+    for path in paths:
+        if path.endswith(".ckpt"):
+            try:
+                load_checkpoint(path)
+            except CheckpointFormatError as exc:
+                raise PipelineError(f"stage {stage.name!r} cannot reuse {path}: {exc}; "
+                                    f"rerun with --force to rebuild it") from exc
+
+
 def run_pipeline(config, stages, force=False):
     """Execute the requested stages in canonical order; returns artifact paths.
 
-    Each stage is skipped when its outputs already exist (unless `force`);
-    a stage whose input checkpoint is missing raises a PipelineError naming
-    the prior stage that would produce it.
+    Each stage is skipped when its outputs already exist and its checkpoints
+    load (unless `force`); a stage whose input checkpoint is missing raises a
+    PipelineError naming the prior stage that would produce it.
     """
     unknown = set(stages) - set(STAGES)
     if unknown:
@@ -248,6 +260,8 @@ def run_pipeline(config, stages, force=False):
         if force or not all(os.path.exists(path) for path in paths):
             inputs = [_load_input(config, candidates) for candidates in stage.needs]
             _write_outputs(config, stage, stage.run(config, train_data, *inputs))
+        else:
+            _check_finished(stage, paths)
         produced.extend(paths)
     return produced
 

@@ -515,6 +515,30 @@ def test_cli_stage_without_its_input_exits_2_with_one_line(tmp_path, capsys):
                    "run the 'teacher' stage first\n")
 
 
+@pytest.mark.parametrize("command, stage, artifact", [
+    ("train-teacher", "teacher", "teacher.ckpt"),
+    ("refine", "refine", "discriminator.ckpt")])
+def test_cli_truncated_stage_output_is_not_a_finished_stage(tmp_path, capsys, command,
+                                                             stage, artifact):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    stages = STAGES[:STAGES.index(stage) + 1]
+    run_pipeline(config, stages)
+    ckpt = Path(config.output_dir) / artifact
+    whole = ckpt.read_bytes()
+    ckpt.write_bytes(whole[:100])
+    assert main([command, "--config", cfg_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"splitflow: error: stage {stage!r} cannot reuse {ckpt}: "
+                   f"truncated checkpoint metadata in {ckpt}; "
+                   "rerun with --force to rebuild it\n")
+    assert len(ckpt.read_bytes()) == 100
+    assert main([command, "--config", cfg_path, "--force"]) == 0
+    # the rebuilt stage writes the bytes the first run wrote
+    assert ckpt.read_bytes() == whole
+    load_checkpoint(str(ckpt))
+
+
 def test_cli_sample_truncated_checkpoint_exits_2_with_one_line(tmp_path, capsys):
     cfg_path, _ = write_tiny_config_file(tmp_path)
     ckpt = tmp_path / "student.ckpt"

@@ -1,11 +1,13 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from splitflow import DegradationParams, degrade, generate_dataset, make_rng
-from splitflow.data import DATASET_NAMES, _procedural_patches, _two_moons
+from splitflow import data
+from splitflow.data import DATASET_NAMES, PATCH_SIZE, _procedural_patches, _two_moons
 
 
 def test_generation_is_bitwise_deterministic():
@@ -86,6 +88,22 @@ def test_degradation_contracts_information():
     assert np.array_equal(da, db)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("downsample_factor", 0), ("downsample_factor", -2), ("downsample_factor", 2.0),
+    ("downsample_factor", True), ("noise_std", float("nan")), ("noise_std", -0.1),
+    ("noise_std", float("inf"))])
+def test_degradation_params_reject_what_degrade_cannot_honour(field, value):
+    with pytest.raises(ValueError, match=re.escape(field) + ".*" + re.escape(repr(value))):
+        DegradationParams(**{field: value})
+
+
+def test_degradation_params_take_numpy_integers():
+    patch = np.linspace(0.0, 1.0, 32).reshape(2, 4, 4)
+    want = degrade(patch, DegradationParams(2, 0.1), make_rng(5))
+    got = degrade(patch, DegradationParams(np.int64(2), 0.1), make_rng(5))
+    assert got.tobytes() == want.tobytes()
+
+
 # ---- patch generator --------------------------------------------------------
 
 # sha256 of the x_h, x_l and labels bytes of generate_dataset("tiny-patches",
@@ -134,6 +152,92 @@ def test_patch_build_temporaries_are_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak - patches.nbytes < 4 * 2**20
+
+
+# the oracles for `_patch_block` and `degrade`: the block builder with one
+# `uniform` call per parameter and one `normal` call per spectrum plane, each
+# kind computed out of place, and the degradation that adds and clips out of
+# place
+def reference_patch_block(kinds, rng, out):
+    """Fill `out` (one row per kind) with patches: each row's parameters are
+    drawn in row order, as one row at a time would draw them, then each kind
+    is computed for all of its rows at once."""
+    side = PATCH_SIZE
+    yy, xx = np.mgrid[0:side, 0:side] / side
+    n = len(kinds)
+    # stripes: frequency, phase, angle; checkers: fx, fy, px, py;
+    # noise: real and imaginary spectrum planes, cutoff
+    stripe = np.empty((n, 3))
+    checker_f = np.empty((n, 2), dtype=np.int64)
+    checker_p = np.empty((n, 2))
+    spectrum = np.empty((n, 2, side, side))
+    cutoff = np.empty(n)
+    for i, kind in enumerate(kinds):
+        if kind == 0:
+            stripe[i] = (rng.uniform(2.0, 6.0), rng.uniform(0.0, 2.0 * np.pi),
+                         rng.uniform(0.0, np.pi))
+        elif kind == 1:
+            checker_f[i] = (rng.integers(1, 5), rng.integers(1, 5))
+            checker_p[i] = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        else:
+            spectrum[i, 0] = rng.normal(size=(side, side))
+            spectrum[i, 1] = rng.normal(size=(side, side))
+            cutoff[i] = rng.uniform(0.15, 0.45)
+    rows = kinds == 0
+    freq, phase, angle = (col[:, None, None] for col in stripe[rows].T)
+    proj = np.cos(angle) * xx + np.sin(angle) * yy
+    out[rows] = 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * proj + phase)
+    rows = kinds == 1
+    fx, fy = (col[:, None, None] for col in checker_f[rows].T)
+    px, py = (col[:, None, None] for col in checker_p[rows].T)
+    out[rows] = (np.floor((xx + px) * fx * 2) + np.floor((yy + py) * fy * 2)) % 2
+    rows = kinds == 2
+    planes = spectrum[rows]
+    radius = np.sqrt(np.fft.fftfreq(side)[None, :] ** 2 + np.fft.fftfreq(side)[:, None] ** 2)
+    mask = radius <= cutoff[rows, None, None]
+    img = np.real(np.fft.ifft2((planes[:, 0] + 1j * planes[:, 1]) * mask))
+    lo = img.min(axis=(1, 2), keepdims=True)
+    hi = img.max(axis=(1, 2), keepdims=True)
+    out[rows] = (img - lo) / (hi - lo + 1e-12)
+
+
+def reference_degrade(x_h, params, rng):
+    """Block-average downsample, add Gaussian noise, clamp to [0,1]."""
+    x = np.asarray(x_h, dtype=np.float64)
+    f = params.downsample_factor
+    if x.shape[-1] % f != 0 or x.shape[-2] % f != 0:
+        raise ValueError(
+            f"patch sides {x.shape[-2:]} not divisible by downsample factor {f}")
+    h, w = x.shape[-2] // f, x.shape[-1] // f
+    blocks = x.reshape(*x.shape[:-2], h, f, w, f)
+    out = blocks.mean(axis=(-3, -1))
+    if params.noise_std > 0:
+        out = out + rng.normal(0.0, params.noise_std, size=out.shape)
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
+
+
+def _patch_build(n, seed, degradation):
+    """The float64 patches, which `generate_dataset` rounds to float32, then
+    the dataset's x_h, x_l and labels."""
+    patches, _ = _procedural_patches(n, make_rng(seed))
+    ds = generate_dataset("tiny-patches", n, seed, degradation)
+    return patches, ds.x_h, ds.x_l, ds.labels
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 + 17])
+@pytest.mark.parametrize("degradation", [(2, 0.02), (4, 0.0), (1, 0.1), None])
+def test_patch_build_matches_its_reference_byte_for_byte(monkeypatch, seed, degradation):
+    if degradation is not None:
+        degradation = DegradationParams(*degradation)
+    for n in (1, 2, 255, 256, 257, 600, 4096):
+        got = _patch_build(n, seed, degradation)
+        with monkeypatch.context() as m:
+            m.setattr(data, "_patch_block", reference_patch_block)
+            m.setattr(data, "degrade", reference_degrade)
+            want = _patch_build(n, seed, degradation)
+        for name, a, b in zip(("patches", "x_h", "x_l", "labels"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (n, name)
+            assert a.tobytes() == b.tobytes(), (n, name)
 
 
 def test_flat_views_do_not_copy_float32_data():
