@@ -64,9 +64,9 @@ def load_checkpoint(path):
     try:
         meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
         model = MODEL_KINDS[meta["kind"]].from_spec(meta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         # ValueError covers undecodable UTF-8 and JSON as well as sizes the
-        # model constructors reject.
+        # model constructors reject; MemoryError, layer sizes too large to build.
         raise CheckpointFormatError(
             f"malformed checkpoint header in {path}: {exc!r}") from exc
     sizes = [p.values.size for p in model.parameters()]

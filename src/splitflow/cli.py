@@ -14,7 +14,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import KEY_LIMIT, make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
-from .pipeline import STAGE_TABLE, STAGES, PipelineError, _eval_data, emit_report, run_pipeline
+from .pipeline import (STAGE_TABLE, STAGES, PipelineError, _eval_data, _input_path, emit_report,
+                       run_pipeline)
 
 STAGE_FOR_COMMAND = {
     **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
@@ -78,7 +79,7 @@ def build_parser():
                    help="student jumps per sample (1 is one-step generation)")
     p.add_argument("--output", type=str, default=None)
 
-    p = sub.add_parser("diagnose-isc", help="splitting-identity and branch diagnostics")
+    p = sub.add_parser("diagnose-isc", help="splitting-identity residuals")
     _add_common(p)
     p.add_argument("--trials", type=positive_int, default=1000)
     return parser
@@ -100,14 +101,7 @@ def cmd_sample(args):
     ckpt = args.checkpoint
     if ckpt is None:
         # the student checkpoints the eval stage reads, in its order
-        for name in STAGE_TABLE[STAGES.index("eval")].needs[0]:
-            candidate = os.path.join(config.output_dir, name)
-            if os.path.exists(candidate):
-                ckpt = candidate
-                break
-    if ckpt is None:
-        print("no student checkpoint found; pass --checkpoint", file=sys.stderr)
-        return 2
+        ckpt = _input_path(config, STAGE_TABLE[STAGES.index("eval")].needs[0])
     if args.dry_run:
         print(f"config ok (fingerprint {config.fingerprint()}); would sample from {ckpt}")
         return 0
@@ -152,17 +146,6 @@ def cmd_diagnose(args):
           f"{args.trials} trials): {exact_max:.3e}")
     print(f"splitting-identity residual, deliberately wrong field at "
           f"(r,s,t)=(0,0.5,1): {wrong_probe:.3f}")
-
-    p = config.stage1_branch_probability
-    n = 10000
-    draws = sum(1 for _ in range(n) if rng.random() < p)
-    print(f"branch accounting over {n} draws with p={p}: "
-          f"splitting fraction {draws / n:.4f}")
-    print("note: the training loop follows the pseudocode reading (q < p selects "
-          "the splitting-consistency branch); the surrounding prose calls p the "
-          "boundary-branch probability, which would select splitting with "
-          f"probability {1 - p:.2f} instead. Set stage1_branch_probability "
-          "accordingly if the prose reading is wanted.")
     return 0
 
 

@@ -69,8 +69,8 @@ class ExperimentConfig:
     emit_svg: bool = False
 
     def fingerprint(self):
-        """Stable hash of the canonical serialization."""
-        text = "\n".join(f"{k} = {v}" for k, v in sorted(self.as_dict().items()))
+        """Stable hash of `dump_config`'s text without its final newline."""
+        text = dump_config(self)[:-1]
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self):

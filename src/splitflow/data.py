@@ -43,10 +43,8 @@ class DegradationParams:
 
 @dataclass
 class ToyDataset:
-    name: str
     x_h: np.ndarray     # clean samples, (n, d) or (n, 16, 16)
     x_l: np.ndarray     # degraded/projected observations
-    seed: int
     labels: np.ndarray | None = None
 
     def cond_array(self):
@@ -199,8 +197,8 @@ def generate_dataset(name, n, seed, degradation=None):
             degradation = DegradationParams(downsample_factor=2, noise_std=0.02)
         x_h, labels = _procedural_patches(n, rng)
         x_l = degrade(x_h, degradation, rng)
-        return ToyDataset(name, x_h.astype(np.float32), x_l, seed, labels=labels)
+        return ToyDataset(x_h.astype(np.float32), x_l, labels=labels)
     x_h, labels = _two_moons(n, rng)
     obs = x_h @ PROJECTION_DIRECTION + rng.normal(0.0, OBSERVATION_NOISE_STD, size=n)
-    return ToyDataset(name, x_h.astype(np.float32),
-                      obs.astype(np.float32)[:, None], seed, labels=labels)
+    return ToyDataset(x_h.astype(np.float32),
+                      obs.astype(np.float32)[:, None], labels=labels)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .autodiff import Tensor
 # perfbench's tracer test checks that this binding of `time_embedding` is wrapped.
-from .flow import ConditionedModel, cfg_velocity, time_embedding  # noqa: F401
+from .flow import ConditionedModel, cfg_velocity, interpolate, time_embedding  # noqa: F401
 from .nn import AdamW, descend, fit, mse
 
 
@@ -93,8 +93,6 @@ class StudentModel(ConditionedModel):
                  + Tensor(self._embed(z, t)) @ self.proj_t)
         return self._trunk(z, fused, cond)
 
-    __call__ = average_velocity
-
     def average_velocity_values(self, z, r, t, cond):
         """`average_velocity(z, r, t, cond).values` without a tape, for a float array `z`."""
         fused = self._embed(z, r) @ self.proj_r.values + self._embed(z, t) @ self.proj_t.values
@@ -164,12 +162,10 @@ def distill(student, teacher, x, cond, rng, branch_probability,
     q = rng.random()
     eps = rng.standard_normal(x.shape).astype(np.float32)
     if q < branch_probability:
-        t = interval.t
-        z_t = (1.0 - t) * x + t * eps
+        z_t = interpolate(x, eps, interval.t)
         return isc_loss(student, z_t, interval, cond), "splitting"
     t = rng.random()
-    z_t = (1.0 - t) * x + t * eps
-    return boundary_loss(student, teacher, z_t, t, cond, w=w), "boundary"
+    return boundary_loss(student, teacher, interpolate(x, eps, t), t, cond, w=w), "boundary"
 
 
 def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
@@ -185,8 +181,7 @@ def stage1_train_step(student, teacher, x_batch, cond_batch, config, rng, opt):
 def train_student(teacher, x_data, cond_data, config):
     """Full stage-1 loop over a dataset; returns (student, records).
 
-    Each record carries the iteration, loss, and branch tag; the branch
-    fractions are the Algorithm-level accounting surfaced by diagnostics.
+    Each record carries the iteration, loss, and branch tag.
     """
     x_data = np.asarray(x_data, dtype=np.float32)
     cond_data = np.asarray(cond_data, dtype=np.float32)

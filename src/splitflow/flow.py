@@ -31,14 +31,22 @@ def time_embedding(t, dim, dtype=np.float32):
 
 def interpolate(x, eps, t):
     """Point on the linear noise-data path, (1-t)*x + t*eps, for arrays `x`
-    and `eps` and a time scalar or one time per row."""
-    t = np.asarray(t)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    and `eps` and a time scalar or one time per row.
+
+    A scalar time stays a Python float: `1 - t` is taken in double precision
+    and rounded to `x`'s dtype only in the product. Casting it first would
+    move the low bits of every noised state the training stages draw.
+    """
+    if isinstance(t, (int, float)):
+        t = float(t)
+        inside = 0.0 <= t <= 1.0
+    else:
+        t = np.asarray(t)
+        inside = np.all((t >= 0.0) & (t <= 1.0))
+        t = (t[:, None] if t.ndim == 1 else t).astype(x.dtype)
+    if not inside:
         raise ValueError(f"interpolation time must lie in [0, 1], got {t}")
-    if t.ndim == 1:
-        t = t[:, None]
-    t = t.astype(x.dtype)
-    return x * (1.0 - t) + eps * t
+    return (1.0 - t) * x + t * eps
 
 
 @dataclass
@@ -57,6 +65,8 @@ class ConditionedModel(Model):
 
     def __init__(self, state_dim, cond_dim, hidden_sizes=(128, 128),
                  time_embed_dim=16, rng=None):
+        if time_embed_dim < 2 or time_embed_dim % 2:
+            raise ValueError(f"time_embed_dim must be even and >= 2, got {time_embed_dim!r}")
         self.state_dim = state_dim
         self.cond_dim = cond_dim
         self.time_embed_dim = time_embed_dim
@@ -109,8 +119,6 @@ class TeacherModel(ConditionedModel):
         if not isinstance(z, Tensor):
             z = Tensor(z)
         return self._trunk(z, Tensor(self._embed(z, t)), cond)
-
-    __call__ = velocity
 
     def velocity_values(self, z, t, cond):
         """`velocity(z, t, cond).values` without a tape, for a float array `z`."""

@@ -86,13 +86,12 @@ def feature_distance(feature_net, a, b):
     return float(np.mean((fa - fb) ** 2))
 
 
-def seed_diversity(student, cond, seeds, sample_shape, feature_net=None):
+def seed_diversity(student, cond, seeds, sample_shape):
     """Per-seed one-step samples under a fixed condition; distances taken to
     the first seed's output as reference.
 
     Returns (mean distance to reference over the remaining seeds, full
-    pairwise distance matrix). Distance is the frozen-feature MSE when a
-    feature net is given, plain MSE otherwise.
+    pairwise mean-squared distance matrix).
     """
     if len(seeds) < 2:
         raise ValueError("seed diversity needs at least 2 seeds")
@@ -101,16 +100,11 @@ def seed_diversity(student, cond, seeds, sample_shape, feature_net=None):
         eps = make_rng(seed).standard_normal(sample_shape).astype(np.float32)
         outputs.append(one_step_sample(student, eps, cond))
 
-    def dist(u, v):
-        if feature_net is not None:
-            return feature_distance(feature_net, u, v)
-        return float(np.mean((u - v) ** 2))
-
     k = len(outputs)
     matrix = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = dist(outputs[i], outputs[j])
+            matrix[i, j] = matrix[j, i] = float(np.mean((outputs[i] - outputs[j]) ** 2))
     mean_to_ref = float(matrix[0, 1:].mean())
     return mean_to_ref, matrix
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .config import stage_seed
-from .data import generate_dataset, DegradationParams, make_rng
+from .data import PATCH_SIZE, generate_dataset, DegradationParams, make_rng
 from .distill import Stage1Config, one_step_sample, train_student
 from .flow import TeacherTrainConfig, train_teacher
 from .metrics import (feature_distance, metric_stability, psnr,
@@ -25,8 +25,8 @@ class PipelineError(RuntimeError):
 
 def emit_report(records, path, columns):
     """CSV with a header row, 6-significant-digit floats, stable column order;
-    `records` is a list of dicts or a 2-D float array, and `columns` names the
-    columns."""
+    `records` is a list of dicts holding every column or a 2-D float array, and
+    `columns` names the columns."""
     lines = [",".join(columns)]
     if isinstance(records, np.ndarray):
         # one template for the whole array: `%.6g` formats a float as `{:.6g}` does;
@@ -35,7 +35,7 @@ def emit_report(records, path, columns):
             row = ",".join(["%.6g"] * records.shape[1])
             lines.append("\n".join([row] * records.shape[0]) % tuple(records.ravel().tolist()))
     else:
-        rows = ([rec.get(c, "") for c in columns] for rec in records)
+        rows = ([rec[c] for c in columns] for rec in records)
         lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
                      for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -68,7 +68,10 @@ def emit_svg_plot(records, x_key, y_key, path):
         fh.write(svg)
 
 
-def _dataset_for(config, seed, size):
+def _dataset_for(config, name, size):
+    """The `size`-row dataset keyed by the stage seed of `name`, shifted by
+    `dataset_seed_offset`."""
+    seed = stage_seed(config.seed, name) + config.dataset_seed_offset
     degradation = None
     if config.dataset_name == "tiny-patches":
         degradation = DegradationParams(downsample_factor=config.degrade_factor,
@@ -79,8 +82,7 @@ def _dataset_for(config, seed, size):
 def _train_data(config):
     """The training set `(x, cond)`, read-only: the stages of one
     `run_pipeline` call share it, so an in-place write must not leak."""
-    seed = stage_seed(config.seed, "dataset") + config.dataset_seed_offset
-    ds = _dataset_for(config, seed, config.dataset_size)
+    ds = _dataset_for(config, "dataset", config.dataset_size)
     x, cond = ds.flat_x(), ds.cond_array()
     x.flags.writeable = False
     cond.flags.writeable = False
@@ -88,8 +90,7 @@ def _train_data(config):
 
 
 def _eval_data(config):
-    seed = stage_seed(config.seed, "eval-dataset") + config.dataset_seed_offset
-    ds = _dataset_for(config, seed, config.eval_sample_count)
+    ds = _dataset_for(config, "eval-dataset", config.eval_sample_count)
     return ds.flat_x(), ds.cond_array()
 
 
@@ -130,7 +131,7 @@ def _run_refine(config, train_data, teacher, student):
     state_dim = x.shape[1]
     disc = Discriminator(
         state_dim, rng=make_rng(stage_seed(config.seed, "discriminator")),
-        pool_from=16 if config.dataset_name == "tiny-patches" else None)
+        pool_from=PATCH_SIZE if config.dataset_name == "tiny-patches" else None)
     regularizer = teacher.copy()
     s2 = Stage2Config(
         weights=LossWeights(config.stage2_lambda1, config.stage2_lambda2,
@@ -203,11 +204,12 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 ARTIFACTS = {stage.name: stage.outputs for stage in STAGE_TABLE}
 
 
-def _load_input(config, candidates):
+def _input_path(config, candidates):
+    """Path of the first of the `candidates` checkpoints present in `output_dir`."""
     for name in candidates:
         path = os.path.join(config.output_dir, name)
         if os.path.exists(path):
-            return load_checkpoint(path)[0]
+            return path
     producer = next(stage.name for stage in STAGE_TABLE if name in stage.outputs)
     raise PipelineError(f"missing input checkpoint {name!r}; "
                         f"run the {producer!r} stage first")
@@ -258,7 +260,8 @@ def run_pipeline(config, stages, force=False):
             continue
         paths = [os.path.join(config.output_dir, name) for name in stage.outputs]
         if force or not all(os.path.exists(path) for path in paths):
-            inputs = [_load_input(config, candidates) for candidates in stage.needs]
+            inputs = [load_checkpoint(_input_path(config, candidates))[0]
+                      for candidates in stage.needs]
             _write_outputs(config, stage, stage.run(config, train_data, *inputs))
         else:
             _check_finished(stage, paths)

@@ -3,13 +3,14 @@ regularizer, hinge adversarial losses with a small discriminator, and the
 weighted total objective with alternating updates."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, stop_gradient
 from .data import make_rng
 from .distill import distill
+from .flow import interpolate
 from .nn import AdamW, Mlp, Model, descend, fit, mse
 
 # Frozen feature network seed; published so the perceptual distance is
@@ -68,8 +69,9 @@ class Discriminator(Model):
         self.pool_from = pool_from
         self.pool_to = pool_to
         if pool_from is not None:
-            if pool_from % pool_to != 0:
-                raise ValueError("pooled side must divide the patch side")
+            if pool_to < 1 or pool_from % pool_to != 0:
+                raise ValueError(f"pooled side must be >= 1 and divide the patch side, "
+                                 f"got {pool_to!r}")
             in_dim = pool_to * pool_to
         self.in_dim = in_dim
         self.net = Mlp([in_dim, hidden, hidden, 1], rng=rng)
@@ -83,8 +85,6 @@ class Discriminator(Model):
             x = x.reshape(n, out, f, out, f).mean(axis=(2, 4))
             x = x.reshape(n, out * out)
         return self.net.forward(x, detach_params=detach_params)
-
-    __call__ = score
 
     def spec(self):
         """The architecture, as stored in a checkpoint header."""
@@ -144,7 +144,7 @@ def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
         t = lo + (hi - lo) * rng.random()
     if eps is None:
         eps = rng.standard_normal(z_hat.shape).astype(np.float32)
-    z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
+    z_t = interpolate(z_hat, np.asarray(eps), t)
     v_teacher = teacher.velocity_values(z_t, t, cond)
     v_reg = regularizer.velocity_values(z_t, t, cond)
     weight = schedule(t)
@@ -158,13 +158,13 @@ def regularizer_loss(regularizer, z_hat, cond, rng, t=None, eps=None):
         t = rng.random()
     if eps is None:
         eps = rng.standard_normal(z_hat.shape).astype(np.float32)
-    z_t = (1.0 - t) * z_hat + t * np.asarray(eps)
+    z_t = interpolate(z_hat, np.asarray(eps), t)
     return mse(regularizer.velocity(z_t, t, cond), np.asarray(eps) - z_hat)
 
 
 @dataclass
 class Stage2Config:
-    weights: LossWeights = None
+    weights: LossWeights = field(default_factory=LossWeights)
     iterations: int = 1000
     batch_size: int = 64
     learning_rate: float = 2e-4
@@ -175,10 +175,6 @@ class Stage2Config:
     vsd_t_min: float = 0.02
     vsd_t_max: float = 0.98
     seed: int = 0
-
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = LossWeights()
 
 
 class Stage2Trainer:

@@ -41,7 +41,7 @@ READS = {
                        "eval_n_projections"},
     # `sample` draws its conditions from the eval set
     "sample": DATASET | {"output_dir", "eval_sample_count"},
-    "diagnose-isc": {"seed", "stage1_branch_probability"},
+    "diagnose-isc": {"seed"},
 }
 
 # Keys that only one dataset reads: the degradation of tiny-patches, and the

@@ -29,8 +29,21 @@ def test_interpolate_quarter():
 
 def test_interpolate_rejects_out_of_range_t():
     x = np.ones((1, 2), dtype=np.float32)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        interpolate(x, x, 1.5)
+    for t in (1.5, -0.25, float("nan"), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            interpolate(x, x, t)
+
+
+def test_interpolate_scalar_time_is_the_inline_expression_bit_for_bit():
+    """The training stages noise with a Python-float time; the path must be
+    `(1.0 - t) * x + t * eps` to the bit, not a float32-rounded time."""
+    rng = make_rng(11)
+    x = rng.standard_normal((16, 2)).astype(np.float32)
+    eps = rng.standard_normal((16, 2)).astype(np.float32)
+    for t in rng.random(2000).tolist():
+        out = interpolate(x, eps, t)
+        assert out.dtype == np.float32
+        assert out.tobytes() == ((1.0 - t) * x + t * eps).tobytes()
 
 
 # ---- flow-matching loss ----------------------------------------------------

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitflow import (FeatureNet, StudentModel, TeacherModel,
+from splitflow import (StudentModel, TeacherModel,
                        gradient_magnitudes, make_rng, metric_stability, psnr,
                        seed_diversity, sliced_wasserstein)
 
@@ -157,14 +157,6 @@ def test_seed_diversity_needs_two_seeds():
     with pytest.raises(ValueError, match="at least 2"):
         seed_diversity(make_student(), np.zeros((4, 1), dtype=np.float32),
                        seeds=[1], sample_shape=(4, 2))
-
-
-def test_seed_diversity_feature_space_option():
-    student = make_student()
-    cond = np.zeros((8, 1), dtype=np.float32)
-    mean_dist, _ = seed_diversity(student, cond, seeds=[1, 2],
-                                  sample_shape=(8, 2), feature_net=FeatureNet(2))
-    assert mean_dist > 0.0
 
 
 # ---- stability protocol --------------------------------------------------------------
