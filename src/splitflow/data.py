@@ -55,19 +55,48 @@ class ToyDataset:
         return self.x_h.reshape(self.x_h.shape[0], -1).astype(np.float32, copy=False)
 
 
+def _check_factor(shape, f):
+    if shape[-1] % f != 0 or shape[-2] % f != 0:
+        raise ValueError(
+            f"patch sides {shape[-2:]} not divisible by downsample factor {f}")
+
+
+def _block_mean(x, f, out=None):
+    """Mean of each f x f block of the last two axes of float64 `x`, equal
+    byte for byte to `x.reshape(..., h, f, w, f).mean(axis=(-3, -1))`."""
+    blocks = x.reshape(*x.shape[:-2], x.shape[-2] // f, f, x.shape[-1] // f, f)
+    if f >= 8:
+        # numpy sums an 8-long block row pairwise and a 16 x 16 block as one
+        # coalesced 256-long axis; at these lengths its own reduction is fast
+        return blocks.mean(axis=(-3, -1), out=out)
+    # Below 8, numpy reduces the view in inner loops of length f: it sums
+    # each block row left to right, from 0 (so -0.0 becomes +0.0), and adds
+    # the row sums in row order. The same order over whole arrays:
+    rows = blocks[..., 0] + 0.0
+    for j in range(1, f):
+        rows += blocks[..., j]
+    total = rows[..., 0, :]
+    for i in range(1, f):
+        total += rows[..., i, :]
+    return np.divide(total, f * f, out=out)
+
+
+def _observe(means, noise_std, rng, out):
+    """Add N(0, noise_std^2) noise to `means` in place, clamp them to [0, 1],
+    and cast them into `out`."""
+    if noise_std > 0:
+        means += rng.normal(0.0, noise_std, size=means.shape)
+    out[...] = np.clip(means, 0.0, 1.0, out=means)
+    return out
+
+
 def degrade(x_h, params, rng):
     """Block-average downsample, add Gaussian noise, clamp to [0,1]."""
     x = np.asarray(x_h, dtype=np.float64)
     f = params.downsample_factor
-    if x.shape[-1] % f != 0 or x.shape[-2] % f != 0:
-        raise ValueError(
-            f"patch sides {x.shape[-2:]} not divisible by downsample factor {f}")
-    h, w = x.shape[-2] // f, x.shape[-1] // f
-    blocks = x.reshape(*x.shape[:-2], h, f, w, f)
-    out = blocks.mean(axis=(-3, -1))
-    if params.noise_std > 0:
-        out += rng.normal(0.0, params.noise_std, size=out.shape)
-    return np.clip(out, 0.0, 1.0, out=out).astype(np.float32)
+    _check_factor(x.shape, f)
+    means = _block_mean(x, f)
+    return _observe(means, params.noise_std, rng, np.empty(means.shape, np.float32))
 
 
 def _two_moons(n, rng):
@@ -169,20 +198,28 @@ def _patch_block(kinds, rng, out):
     out[rows] = _band_limited_noise(spectrum[rows], cutoff[rows])
 
 
-def _procedural_patches(n, rng):
-    """Band-limited noise, stripes, and checkers at random phase/frequency.
+def _procedural_patches(n, rng, f):
+    """Band-limited noise, stripes, and checkers at random phase/frequency:
+    float32 patches, the float64 means of their f x f blocks, and the kinds.
 
     All kinds are drawn first, then each row's parameters in row order; the
-    patches are computed PATCH_BLOCK rows at a time, so temporaries stay
-    bounded by the block whatever `n` is.
+    patches are computed PATCH_BLOCK rows at a time into one float64 block,
+    which is clipped, rounded into its rows of the patches and averaged into
+    its rows of the means, so temporaries stay bounded by the block whatever
+    `n` is.
     """
-    patches = np.empty((n, PATCH_SIZE, PATCH_SIZE))
+    patches = np.empty((n, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
+    means = np.empty((n, PATCH_SIZE // f, PATCH_SIZE // f))
+    block = np.empty((min(n, PATCH_BLOCK), PATCH_SIZE, PATCH_SIZE))
     kinds = rng.integers(0, 3, size=n)
     for start in range(0, n, PATCH_BLOCK):
-        stop = start + PATCH_BLOCK
-        _patch_block(kinds[start:stop], rng, patches[start:stop])
-    np.clip(patches, 0.0, 1.0, out=patches)
-    return patches, kinds
+        stop = min(start + PATCH_BLOCK, n)
+        rows = block[:stop - start]
+        _patch_block(kinds[start:stop], rng, rows)
+        np.clip(rows, 0.0, 1.0, out=rows)
+        patches[start:stop] = rows
+        _block_mean(rows, f, out=means[start:stop])
+    return patches, means, kinds
 
 
 def generate_dataset(name, n, seed, degradation=None):
@@ -195,9 +232,16 @@ def generate_dataset(name, n, seed, degradation=None):
     if name == "tiny-patches":
         if degradation is None:
             degradation = DegradationParams(downsample_factor=2, noise_std=0.02)
-        x_h, labels = _procedural_patches(n, rng)
-        x_l = degrade(x_h, degradation, rng)
-        return ToyDataset(x_h.astype(np.float32), x_l, labels=labels)
+        f = degradation.downsample_factor
+        _check_factor((PATCH_SIZE, PATCH_SIZE), f)
+        x_h, means, labels = _procedural_patches(n, rng, f)
+        # the noise is drawn after every patch, block by block: chunked
+        # `normal` calls continue one stream, as one call over all rows would
+        x_l = np.empty(means.shape, np.float32)
+        for start in range(0, n, PATCH_BLOCK):
+            stop = start + PATCH_BLOCK
+            _observe(means[start:stop], degradation.noise_std, rng, x_l[start:stop])
+        return ToyDataset(x_h, x_l, labels=labels)
     x_h, labels = _two_moons(n, rng)
     obs = x_h @ PROJECTION_DIRECTION + rng.normal(0.0, OBSERVATION_NOISE_STD, size=n)
     return ToyDataset(x_h.astype(np.float32),

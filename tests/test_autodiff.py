@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitflow import (AdamW, Discriminator, FeatureNet, Interval, Mlp, Stage1Config,
+from splitflow import (AdamW, Discriminator, FeatureNet, Interval, Stage1Config,
                        Stage2Config, Stage2Trainer, StudentModel, TeacherModel, Tensor,
                        backward_multi, concat, fm_loss, generate_dataset, grad_check, isc_loss,
                        make_rng, stage1_train_step, stop_gradient)

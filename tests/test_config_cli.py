@@ -11,7 +11,7 @@ import pytest
 
 from splitflow import (ConfigError, Discriminator, ExperimentConfig,
                        PipelineError, StudentModel, TeacherModel, dump_config, emit_report,
-                       load_checkpoint, load_config, make_rng, parse_config,
+                       load_checkpoint, make_rng, parse_config,
                        run_pipeline, save_checkpoint, stage_seed)
 from splitflow import cli, pipeline
 from splitflow.cli import main

@@ -7,7 +7,7 @@ import pytest
 
 from splitflow import DegradationParams, degrade, generate_dataset, make_rng
 from splitflow import data
-from splitflow.data import DATASET_NAMES, PATCH_SIZE, _procedural_patches, _two_moons
+from splitflow.data import DATASET_NAMES, PATCH_SIZE, _two_moons
 
 
 def test_generation_is_bitwise_deterministic():
@@ -143,15 +143,29 @@ def test_patches_keep_their_bytes(n, seed):
 
 
 def test_patch_build_temporaries_are_bounded_by_the_block():
-    # beyond the float64 output itself; a build that scales with n (a
-    # clipped copy of the whole output, say) takes 8 MiB more at 4096 rows
-    tracemalloc.start()
-    try:
-        patches, _ = _procedural_patches(4096, make_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - patches.nbytes < 4 * 2**20
+    # beyond the returned arrays, only the float64 block means (512 B a row
+    # at f = 2) grow with the row count; a float64 copy of every patch grows
+    # by 2 KiB a row
+    beyond = {}
+    for n in (4096, 8192):
+        tracemalloc.start()
+        try:
+            ds = generate_dataset("tiny-patches", n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond[n] = peak - ds.x_h.nbytes - ds.x_l.nbytes - ds.labels.nbytes
+    assert beyond[4096] <= 4.5 * 2**20
+    assert beyond[8192] - beyond[4096] <= 512 * 4096
+
+
+def test_patch_build_checks_the_factor_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("patches drawn before the factor was checked")
+    monkeypatch.setattr(data, "_patch_block", no_draws)
+    with pytest.raises(ValueError, match=re.escape(
+            "patch sides (16, 16) not divisible by downsample factor 3")):
+        generate_dataset("tiny-patches", 4096, 1, DegradationParams(3))
 
 
 # the oracles for `_patch_block` and `degrade`: the block builder with one
@@ -216,28 +230,68 @@ def reference_degrade(x_h, params, rng):
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
-def _patch_build(n, seed, degradation):
-    """The float64 patches, which `generate_dataset` rounds to float32, then
-    the dataset's x_h, x_l and labels."""
-    patches, _ = _procedural_patches(n, make_rng(seed))
-    ds = generate_dataset("tiny-patches", n, seed, degradation)
-    return patches, ds.x_h, ds.x_l, ds.labels
+def reference_patch_build(n, seed, degradation):
+    """x_h, x_l and labels built over whole arrays: every patch into one
+    float64 array, clipped, degraded, then rounded to float32."""
+    if degradation is None:
+        degradation = DegradationParams(2, 0.02)
+    rng = make_rng(seed)
+    kinds = rng.integers(0, 3, size=n)
+    patches = np.empty((n, PATCH_SIZE, PATCH_SIZE))
+    reference_patch_block(kinds, rng, patches)
+    np.clip(patches, 0.0, 1.0, out=patches)
+    x_l = reference_degrade(patches, degradation, rng)
+    return patches.astype(np.float32), x_l, kinds
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2**64 + 17])
-@pytest.mark.parametrize("degradation", [(2, 0.02), (4, 0.0), (1, 0.1), None])
-def test_patch_build_matches_its_reference_byte_for_byte(monkeypatch, seed, degradation):
+@pytest.mark.parametrize("degradation", [(2, 0.02), (4, 0.0), (1, 0.1), None, (8, 0.05),
+                                         (16, 0.2)])
+def test_patch_build_matches_its_reference_byte_for_byte(seed, degradation):
     if degradation is not None:
         degradation = DegradationParams(*degradation)
     for n in (1, 2, 255, 256, 257, 600, 4096):
-        got = _patch_build(n, seed, degradation)
-        with monkeypatch.context() as m:
-            m.setattr(data, "_patch_block", reference_patch_block)
-            m.setattr(data, "degrade", reference_degrade)
-            want = _patch_build(n, seed, degradation)
-        for name, a, b in zip(("patches", "x_h", "x_l", "labels"), got, want):
+        ds = generate_dataset("tiny-patches", n, seed, degradation)
+        got = ds.x_h, ds.x_l, ds.labels
+        want = reference_patch_build(n, seed, degradation)
+        for name, a, b in zip(("x_h", "x_l", "labels"), got, want):
             assert a.dtype == b.dtype and a.shape == b.shape, (n, name)
             assert a.tobytes() == b.tobytes(), (n, name)
+
+
+def _random_patches(lead, rng):
+    """Float64 patches over many magnitudes of both signs, with signed zeros
+    and a 4 x 4 corner of -0.0."""
+    x = rng.normal(size=lead + (PATCH_SIZE, PATCH_SIZE))
+    x *= 10.0 ** rng.integers(-8, 300, size=x.shape)
+    x[rng.random(x.shape) < 0.05] = -0.0
+    x[..., :4, :4] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("f", [1, 2, 4, 8, 16])
+def test_block_mean_is_numpys_mean_byte_for_byte(f):
+    rng = make_rng(f)
+    side = PATCH_SIZE // f
+    for lead in [(), (1,), (255,), (256,), (257,), (4096,)]:
+        x = _random_patches(lead, rng)
+        want = x.reshape(*lead, side, f, side, f).mean(axis=(-3, -1))
+        got = data._block_mean(x, f)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), lead
+        into = np.empty_like(want)
+        data._block_mean(x, f, out=into)
+        assert into.tobytes() == want.tobytes(), lead
+
+
+@pytest.mark.parametrize("f", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_degrade_matches_its_reference_byte_for_byte(f, noise_std):
+    x = make_rng(5).random((300, PATCH_SIZE, PATCH_SIZE)) * 1.5 - 0.25
+    params = DegradationParams(f, noise_std)
+    got = degrade(x, params, make_rng(9))
+    want = reference_degrade(x, params, make_rng(9))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_flat_views_do_not_copy_float32_data():

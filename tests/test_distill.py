@@ -7,7 +7,7 @@ from splitflow import (AdamW, Interval, Stage1Config, StudentModel,
                        TeacherModel, Tensor, backward_integrate, boundary_loss,
                        isc_loss, isc_residual, isc_residual_scan, make_rng,
                        multi_step_sample, one_step_sample, sample_interval,
-                       stage1_train_step, stop_gradient, train_student)
+                       stage1_train_step, train_student)
 
 
 def make_pair(seed=0, state_dim=2, cond_dim=1, hidden=(8, 8)):
