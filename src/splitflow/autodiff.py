@@ -279,7 +279,7 @@ def backward_multi(seeds, wanted=None):
         node._consumed = True
 
 
-def grad_check(f, params, h=1e-3):
+def grad_check(f, params):
     """Compare reverse-mode gradients of a scalar function against central differences.
 
     `f` maps the list of parameter Tensors to a scalar Tensor. Both the
@@ -287,6 +287,7 @@ def grad_check(f, params, h=1e-3):
     64-bit so the oracle stays trustworthy. Returns the max over all
     parameter entries of |autodiff - central| / (|central| + 1e-8).
     """
+    h = 1e-3
     originals = [p.values for p in params]
     try:
         for p in params:

@@ -131,35 +131,33 @@ def reconstruction_loss(x_hat, x, feature_net):
 
 
 def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
-                 t_bounds=(0.02, 0.98), t=None, eps=None):
+                 t_bounds=(0.02, 0.98)):
     """Score-distillation gradient with respect to the generated latent.
 
-    Noises z_hat to a random time, evaluates the frozen teacher and the
-    trainable regularizer there, and returns w(t) * (v_teacher - v_reg)
-    carried back through the latent's (1-t) dependence. Returns (grad, t).
+    Noises z_hat to a time drawn from `rng` (t first, then the noise),
+    evaluates the frozen teacher and the trainable regularizer there, and
+    returns w(t) * (v_teacher - v_reg) carried back through the latent's
+    (1-t) dependence. Returns (grad, t).
     """
     z_hat = np.asarray(z_hat.values if isinstance(z_hat, Tensor) else z_hat)
-    if t is None:
-        lo, hi = t_bounds
-        t = lo + (hi - lo) * rng.random()
-    if eps is None:
-        eps = rng.standard_normal(z_hat.shape).astype(np.float32)
-    z_t = interpolate(z_hat, np.asarray(eps), t)
+    lo, hi = t_bounds
+    t = lo + (hi - lo) * rng.random()
+    eps = rng.standard_normal(z_hat.shape).astype(np.float32)
+    z_t = interpolate(z_hat, eps, t)
     v_teacher = teacher.velocity_values(z_t, t, cond)
     v_reg = regularizer.velocity_values(z_t, t, cond)
     weight = schedule(t)
     return ((1.0 - t) * weight * (v_teacher - v_reg)).astype(np.float32), t
 
 
-def regularizer_loss(regularizer, z_hat, cond, rng, t=None, eps=None):
+def regularizer_loss(regularizer, z_hat, cond, rng):
     """Diffusion objective on a detached student sample array, updating only
-    the regularizer: || v_reg(z_t, t) - (eps - z_hat) ||^2."""
-    if t is None:
-        t = rng.random()
-    if eps is None:
-        eps = rng.standard_normal(z_hat.shape).astype(np.float32)
-    z_t = interpolate(z_hat, np.asarray(eps), t)
-    return mse(regularizer.velocity(z_t, t, cond), np.asarray(eps) - z_hat)
+    the regularizer: || v_reg(z_t, t) - (eps - z_hat) ||^2, with t and then
+    eps drawn from `rng`."""
+    t = rng.random()
+    eps = rng.standard_normal(z_hat.shape).astype(np.float32)
+    z_t = interpolate(z_hat, eps, t)
+    return mse(regularizer.velocity(z_t, t, cond), eps - z_hat)
 
 
 @dataclass

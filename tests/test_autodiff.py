@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitflow import (AdamW, Discriminator, FeatureNet, Interval, Stage1Config,
+from splitflow import (Discriminator, FeatureNet, Interval, Stage1Config,
                        Stage2Config, Stage2Trainer, StudentModel, TeacherModel, Tensor,
-                       backward_multi, concat, fm_loss, generate_dataset, grad_check, isc_loss,
-                       make_rng, stage1_train_step, stop_gradient)
+                       fm_loss, generate_dataset, grad_check, isc_loss,
+                       make_rng, stage1_train_step)
 from splitflow import nn
-from splitflow.autodiff import sigmoid_values
+from splitflow.autodiff import backward_multi, concat, sigmoid_values, stop_gradient
+from splitflow.nn import AdamW
 
 
 def test_chain_rule_square():

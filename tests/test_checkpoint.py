@@ -4,10 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from splitflow import (CheckpointFormatError, Discriminator, StudentModel,
-                       TeacherModel, load_checkpoint, make_rng,
-                       save_checkpoint)
-from splitflow.checkpoint import MAGIC, VERSION
+from splitflow import (Discriminator, StudentModel, TeacherModel,
+                       load_checkpoint, make_rng, save_checkpoint)
+from splitflow.checkpoint import MAGIC, VERSION, CheckpointFormatError
 
 
 def make_teacher(seed=0):

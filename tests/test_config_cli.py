@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitflow import (ConfigError, Discriminator, ExperimentConfig,
-                       PipelineError, StudentModel, TeacherModel, dump_config, emit_report,
-                       load_checkpoint, make_rng, parse_config,
+from splitflow import (Discriminator, ExperimentConfig, StudentModel,
+                       TeacherModel, dump_config, load_checkpoint, make_rng,
                        run_pipeline, save_checkpoint, stage_seed)
 from splitflow import cli, pipeline
 from splitflow.cli import main
-from splitflow.pipeline import STAGES
+from splitflow.config import ConfigError, parse_config
+from splitflow.pipeline import STAGES, PipelineError, emit_report
 
 
 # ---- config parsing ------------------------------------------------------------

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitflow import DegradationParams, degrade, generate_dataset, make_rng
+from splitflow import DegradationParams, generate_dataset, make_rng
 from splitflow import data
-from splitflow.data import DATASET_NAMES, PATCH_SIZE, _two_moons
+from splitflow.data import DATASET_NAMES, PATCH_SIZE, _two_moons, degrade
 
 
 def test_generation_is_bitwise_deterministic():

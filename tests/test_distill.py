@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitflow import (AdamW, Interval, Stage1Config, StudentModel,
-                       TeacherModel, Tensor, backward_integrate, boundary_loss,
-                       isc_loss, isc_residual, isc_residual_scan, make_rng,
-                       multi_step_sample, one_step_sample, sample_interval,
-                       stage1_train_step, train_student)
+from splitflow import (Interval, Stage1Config, StudentModel, TeacherModel,
+                       Tensor, boundary_loss, isc_loss, isc_residual,
+                       isc_residual_scan, make_rng, multi_step_sample,
+                       one_step_sample, stage1_train_step, train_student)
+from splitflow.distill import backward_integrate, sample_interval
+from splitflow.nn import AdamW
 
 
 def make_pair(seed=0, state_dim=2, cond_dim=1, hidden=(8, 8)):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from splitflow import (SamplerConfig, TeacherModel, TeacherTrainConfig,
-                       cfg_velocity, fm_loss, interpolate, make_rng, ode_sample,
-                       train_teacher)
-from splitflow.flow import model_field, time_embedding
+                       fm_loss, make_rng, ode_sample, train_teacher)
+from splitflow.flow import cfg_velocity, interpolate, model_field, time_embedding
 
 
 def make_teacher(seed=0, state_dim=2, cond_dim=1, hidden=(8, 8)):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from splitflow import AdamW, Mlp, Tensor, backward_multi, stop_gradient
-from splitflow.nn import descend, mse
+from splitflow import Mlp, Tensor
+from splitflow.autodiff import backward_multi, stop_gradient
+from splitflow.nn import AdamW, descend, mse
 
 
 def sigmoid(v):

@@ -3,9 +3,10 @@ import pytest
 
 from splitflow import (Discriminator, FeatureNet, LossWeights,
                        Stage2Config, Stage2Trainer, StudentModel, TeacherModel,
-                       Tensor, WeightSchedule, gan_discriminator_loss,
-                       gan_generator_loss, make_rng, reconstruction_loss,
-                       regularizer_loss, vsd_gradient)
+                       Tensor, gan_discriminator_loss, gan_generator_loss,
+                       make_rng, reconstruction_loss, regularizer_loss,
+                       vsd_gradient)
+from splitflow.refine import WeightSchedule
 
 
 class ConstantScorer:
@@ -95,21 +96,29 @@ def test_vsd_gradient_zero_weight_schedule():
     assert np.all(grad == 0.0)
 
 
+def replay_draws(seed, shape, t_bounds=(0.0, 1.0)):
+    """The t and eps a refine loss draws from make_rng(seed): t, then eps."""
+    rng = make_rng(seed)
+    lo, hi = t_bounds
+    t = lo + (hi - lo) * rng.random()
+    return t, rng.standard_normal(shape).astype(np.float32)
+
+
 def test_vsd_gradient_hand_value():
-    # w(t)=1, t=0.5, v_teacher=1, v_reg=0 -> grad = (1-0.5)*1*(1-0) = 0.5
+    # w(t)=1, v_teacher=1, v_reg=0 -> grad = (1-t)*1*(1-0) at the drawn t
     grad, t = vsd_gradient(np.zeros((3, 2)), ConstantField(1.0),
                            ConstantField(0.0), None, WeightSchedule("constant-1"),
-                           make_rng(2), t=0.5)
-    assert t == 0.5
-    assert np.allclose(grad, 0.5)
+                           make_rng(2))
+    drawn, _ = replay_draws(2, (3, 2), t_bounds=(0.02, 0.98))
+    assert t == drawn
+    assert np.array_equal(grad, np.full((3, 2), 1.0 - t, dtype=np.float32))
 
 
 def test_vsd_gradient_scales_with_schedule():
     args = (np.ones((2, 2)), ConstantField(2.0), ConstantField(-1.0), None)
-    g1, _ = vsd_gradient(*args, WeightSchedule("constant-1"), make_rng(3),
-                         t=0.25, eps=np.zeros((2, 2), dtype=np.float32))
-    g3, _ = vsd_gradient(*args, lambda t: 3.0, make_rng(3),
-                         t=0.25, eps=np.zeros((2, 2), dtype=np.float32))
+    g1, t1 = vsd_gradient(*args, WeightSchedule("constant-1"), make_rng(3))
+    g3, t3 = vsd_gradient(*args, lambda t: 3.0, make_rng(3))
+    assert t1 == t3
     assert np.allclose(g3, 3.0 * g1)
 
 
@@ -117,23 +126,22 @@ def test_vsd_gradient_scales_with_schedule():
 
 def test_regularizer_loss_zero_when_prediction_exact():
     z_hat = np.full((4, 2), 0.5, dtype=np.float32)
-    eps = np.full((4, 2), 1.5, dtype=np.float32)
+    _, eps = replay_draws(0, z_hat.shape)
 
     class Exact:
         def velocity(self, z, t, cond):
             return Tensor(eps - z_hat)
 
-    value = regularizer_loss(Exact(), z_hat, None, make_rng(0), t=0.3, eps=eps)
+    value = regularizer_loss(Exact(), z_hat, None, make_rng(0))
     assert float(value.values) == 0.0
 
 
 def test_regularizer_loss_hand_value():
-    # prediction 0 against target eps - z_hat = 1 everywhere -> mean sq = 1
+    # prediction 0 against target eps - z_hat = eps -> mean(eps**2)
     z_hat = np.zeros((4, 2), dtype=np.float32)
-    eps = np.ones((4, 2), dtype=np.float32)
-    value = regularizer_loss(ConstantField(0.0), z_hat, None, make_rng(0),
-                             t=0.5, eps=eps)
-    assert float(value.values) == 1.0
+    _, eps = replay_draws(0, z_hat.shape)
+    value = regularizer_loss(ConstantField(0.0), z_hat, None, make_rng(0))
+    assert float(value.values) == pytest.approx(float(np.mean(eps ** 2)), rel=1e-6)
 
 
 def test_regularizer_loss_routes_gradient_to_regularizer_only():
