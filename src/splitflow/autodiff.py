@@ -223,13 +223,6 @@ def concat(tensors, axis=-1):
     return Tensor(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), backward)
 
 
-def stop_gradient(x):
-    """Identity in value; blocks all gradient flow (no tape linkage)."""
-    if isinstance(x, Tensor):
-        return Tensor(x.values)
-    return Tensor(x)
-
-
 def backward_multi(seeds, wanted=None):
     """Run one backward sweep from several roots at once.
 

@@ -151,7 +151,8 @@ def cmd_diagnose(args):
 
 def main(argv=None):
     """Run one command; a bad config file, a missing stage input, a missing or
-    unreadable file or a malformed checkpoint exits 2 with a one-line message."""
+    unreadable file, a malformed checkpoint or a diverging stage exits 2 with a
+    one-line message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -160,7 +161,7 @@ def main(argv=None):
         if args.command == "sample":
             return cmd_sample(args)
         return cmd_diagnose(args)
-    except (ConfigError, PipelineError, CheckpointFormatError, OSError) as exc:
+    except (ConfigError, PipelineError, CheckpointFormatError, OSError, FloatingPointError) as exc:
         print(f"splitflow: error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,8 +81,8 @@ def psnr(a, b):
 
 def feature_distance(feature_net, a, b):
     """Mean squared distance in the frozen feature space (perceptual term)."""
-    fa = feature_net(np.asarray(a, dtype=np.float32))
-    fb = feature_net(np.asarray(b, dtype=np.float32))
+    fa = feature_net.apply(np.asarray(a, dtype=np.float32))
+    fb = feature_net.apply(np.asarray(b, dtype=np.float32))
     return float(np.mean((fa - fb) ** 2))
 
 

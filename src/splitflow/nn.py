@@ -33,7 +33,7 @@ class Mlp:
             self.weights.append(Tensor(w))
             self.biases.append(Tensor(np.zeros(fan_out, dtype=np.float32)))
 
-    def forward(self, x, detach_params=False):
+    def forward(self, x):
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.values.shape[-1] != self.layer_sizes[0]:
@@ -43,7 +43,7 @@ class Mlp:
             )
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = _layer(x, w, b, i != last, detach_params)
+            x = _layer(x, w, b, i != last)
         return x
 
     __call__ = forward
@@ -77,7 +77,7 @@ def _affine(h, w, b):
     return a
 
 
-def _layer(h, w, b, hidden, detach_params):
+def _layer(h, w, b, hidden):
     """One tape node for a dense layer: `(h @ w + b).silu()`, or `h @ w + b`
     for the last layer.
 
@@ -85,8 +85,7 @@ def _layer(h, w, b, hidden, detach_params):
     order the sweep would run it, so every gradient is bit-identical to the
     chain's. A hidden layer's `a` and `s` are read by no other node and the
     tape is single-use, so the backward overwrites them as scratch; the last
-    layer's `a` is its output and is never written. With `detach_params` the
-    weight and bias are not parents and take no gradient.
+    layer's `a` is its output and is never written.
     """
     a = _affine(h.values, w.values, b.values)
     s = sigmoid_values(a) if hidden else None
@@ -103,14 +102,13 @@ def _layer(h, w, b, hidden, detach_params):
             np.subtract(1.0, s, out=s)
             t *= s
             g += t
-        if not detach_params:
-            b._accumulate(g)
+        b._accumulate(g)
         if h._live:
             h._accumulate(g @ w.values.swapaxes(-1, -2))
-        if not detach_params and w._live:
+        if w._live:
             w._accumulate(h.values.swapaxes(-1, -2) @ g)
 
-    return Tensor(out, (h,) if detach_params else (h, w, b), backward)
+    return Tensor(out, (h, w, b), backward)
 
 
 class Model:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, stop_gradient
+from .autodiff import Tensor
 from .data import make_rng
 from .distill import distill
 from .flow import interpolate
@@ -44,19 +44,12 @@ class WeightSchedule:
         return 1.0
 
 
-class FeatureNet:
+class FeatureNet(Mlp):
     """Frozen randomly-initialized 2-layer feature map (perceptual-distance
-    stand-in). Deterministic for a given input dimension."""
+    stand-in), deterministic for a given input dimension; no optimizer owns it."""
 
     def __init__(self, in_dim, feature_dim=32):
-        rng = make_rng(FEATURE_NET_SEED)
-        self.net = Mlp([in_dim, 64, feature_dim], rng=rng)
-
-    def __call__(self, x):
-        """Taped features of a Tensor (parameters held constant); an array's by bare numpy."""
-        if isinstance(x, Tensor):
-            return self.net.forward(x, detach_params=True)
-        return self.net.apply(x)
+        super().__init__([in_dim, 64, feature_dim], rng=make_rng(FEATURE_NET_SEED))
 
 
 class Discriminator(Model):
@@ -76,7 +69,7 @@ class Discriminator(Model):
         self.in_dim = in_dim
         self.net = Mlp([in_dim, hidden, hidden, 1], rng=rng)
 
-    def score(self, x, detach_params=False):
+    def score(self, x):
         """Realness scores of a sample Tensor, one row per sample."""
         if self.pool_from is not None:
             side, out = self.pool_from, self.pool_to
@@ -84,7 +77,7 @@ class Discriminator(Model):
             n = x.values.shape[0]
             x = x.reshape(n, out, f, out, f).mean(axis=(2, 4))
             x = x.reshape(n, out * out)
-        return self.net.forward(x, detach_params=detach_params)
+        return self.net.forward(x)
 
     def spec(self):
         """The architecture, as stored in a checkpoint header."""
@@ -99,47 +92,41 @@ class Discriminator(Model):
 
 
 def gan_generator_loss(disc, fake_batch):
-    """Negative mean discriminator score on generated samples.
-
-    Discriminator parameters are treated as constants so the generator update
-    never writes into their gradient accumulators.
-    """
-    scores = disc.score(fake_batch, detach_params=True)
-    return -scores.mean()
+    """Negative mean discriminator score on the generated sample Tensor; the
+    student's `descend` sweeps only to its own parameters (`wanted`)."""
+    return -disc.score(fake_batch).mean()
 
 
 def gan_discriminator_loss(disc, real_batch, fake_batch):
-    """Hinge loss: E[max(0, 1-D(real))] + E[max(0, 1+D(fake))].
-
-    The fake batch is detached; only discriminator parameters receive gradient.
-    """
-    real_scores = disc.score(stop_gradient(real_batch))
-    fake_scores = disc.score(stop_gradient(fake_batch))
+    """Hinge loss E[max(0, 1-D(real))] + E[max(0, 1+D(fake))] on two sample
+    arrays; the discriminator's `descend` sweeps to its parameters (`wanted`)."""
+    real_scores = disc.score(Tensor(real_batch))
+    fake_scores = disc.score(Tensor(fake_batch))
     real_term = (1.0 - real_scores).relu().mean()
     fake_term = (1.0 + fake_scores).relu().mean()
     return real_term + fake_term
 
 
 def reconstruction_loss(x_hat, x, feature_net):
-    """Pixel MSE plus feature-space MSE under a frozen feature map (taped on a
-    Tensor, plain numpy on an array), between the generated Tensor `x_hat`
-    and the data array `x`."""
+    """Pixel MSE plus feature-space MSE under the feature network, taped on the
+    generated Tensor `x_hat` and bare on the data array `x`; no `descend`
+    wants the feature network's parameters, so they stay frozen."""
     if x_hat.values.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_hat.values.shape} vs {x.shape}")
     target = x.astype(x_hat.values.dtype)
-    return mse(x_hat, target) + mse(feature_net(x_hat), feature_net(target))
+    return mse(x_hat, target) + mse(feature_net.forward(x_hat), feature_net.apply(target))
 
 
 def vsd_gradient(z_hat, teacher, regularizer, cond, schedule, rng,
                  t_bounds=(0.02, 0.98)):
-    """Score-distillation gradient with respect to the generated latent.
+    """Score-distillation gradient with respect to the generated latent array.
 
     Noises z_hat to a time drawn from `rng` (t first, then the noise),
     evaluates the frozen teacher and the trainable regularizer there, and
     returns w(t) * (v_teacher - v_reg) carried back through the latent's
-    (1-t) dependence. Returns (grad, t).
+    (1-t) dependence. Returns (grad, t); seeded into the latent's Tensor, the
+    student's `descend` carries it only to its own parameters (`wanted`).
     """
-    z_hat = np.asarray(z_hat.values if isinstance(z_hat, Tensor) else z_hat)
     lo, hi = t_bounds
     t = lo + (hi - lo) * rng.random()
     eps = rng.standard_normal(z_hat.shape).astype(np.float32)
@@ -219,7 +206,7 @@ class Stage2Trainer:
                            config.full_interval_probability)
         l_rec = reconstruction_loss(z_hat, x, self.feature_net)
         l_gen = gan_generator_loss(disc, z_hat)
-        vsd_grad, _ = vsd_gradient(z_hat, teacher, self.regularizer, cond,
+        vsd_grad, _ = vsd_gradient(z_hat.values, teacher, self.regularizer, cond,
                                    WeightSchedule(), rng,
                                    t_bounds=(config.vsd_t_min, config.vsd_t_max))
 

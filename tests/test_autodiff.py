@@ -8,7 +8,7 @@ from splitflow import (Discriminator, FeatureNet, Interval, Stage1Config,
                        fm_loss, generate_dataset, grad_check, isc_loss,
                        make_rng, stage1_train_step)
 from splitflow import nn
-from splitflow.autodiff import backward_multi, concat, sigmoid_values, stop_gradient
+from splitflow.autodiff import backward_multi, concat, sigmoid_values
 from splitflow.nn import AdamW
 
 
@@ -39,30 +39,11 @@ def test_unreachable_tensor_grad_is_zero():
     assert y.grad is None or not y.grad.any()
 
 
-def test_stop_gradient_forward_identity():
-    x = Tensor(np.array([1.5, -2.0], dtype=np.float32))
-    assert np.array_equal(stop_gradient(x).values, x.values)
-
-
-def test_stop_gradient_blocks_flow():
-    x = Tensor(np.array([2.0, 3.0], dtype=np.float32))
-    stop_gradient(x).sum().backward()
-    assert x.grad is None or not x.grad.any()
-
-
 def test_x_times_detached_x():
+    # a Tensor of x's values is a constant with no tape link to x
     x = Tensor(np.array([3.0], dtype=np.float32))
-    (x * stop_gradient(x)).sum().backward()
+    (x * Tensor(x.values)).sum().backward()
     assert np.allclose(x.grad, [3.0])
-
-
-def test_stop_gradient_preserves_forward_loss():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
-    b = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
-    plain = ((a * b) + a.square()).mean()
-    detached = ((a * stop_gradient(b)) + stop_gradient(a.square())).mean()
-    assert np.allclose(plain.values, detached.values)
 
 
 def test_tape_single_use():
@@ -301,7 +282,7 @@ def test_pruned_sweep_leaves_every_parameter_as_a_full_sweep_does(monkeypatch, s
 
 def test_pruned_sweep_skips_what_leads_to_no_wanted_leaf():
     w = Tensor(np.array([[2.0, -1.0]], dtype=np.float32))
-    frozen = stop_gradient(w)
+    frozen = Tensor(w.values)
     x = Tensor(np.array([[1.0], [3.0]], dtype=np.float32))
     h, g = x @ w, x @ frozen
     both = concat([h, g], axis=-1)

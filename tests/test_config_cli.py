@@ -517,6 +517,17 @@ def test_cli_stage_without_its_input_exits_2_with_one_line(tmp_path, capsys):
                    "run the 'teacher' stage first\n")
 
 
+def test_cli_diverging_stage_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys):
+    cfg_path, config = write_tiny_config_file(tmp_path, teacher_lr=1e30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train-teacher", "--config", cfg_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("splitflow: error: teacher iteration 1: "
+                                    "non-finite flow-matching loss")
+    assert os.listdir(config.output_dir) == []
+
+
 @pytest.mark.parametrize("command, stage, artifact", [
     ("train-teacher", "teacher", "teacher.ckpt"),
     ("refine", "refine", "discriminator.ckpt")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitflow import Mlp, Tensor
-from splitflow.autodiff import backward_multi, stop_gradient
+from splitflow.autodiff import backward_multi
 from splitflow.nn import AdamW, descend, mse
 
 
@@ -146,13 +146,11 @@ def test_optimizer_runs_bit_identical():
 
 # ---- the layer node: one tape node per dense layer --------------------------------
 
-def unfused_forward(net, x, detach_params=False):
+def unfused_forward(net, x):
     """`Mlp.forward` as the chain of engine nodes the layer node replaces."""
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if detach_params:
-            w, b = stop_gradient(w), stop_gradient(b)
         h = (h @ w) + b
         if i != last:
             h = h.silu()
@@ -185,9 +183,10 @@ def tape_nodes(roots):
 @pytest.mark.parametrize("sizes", [[3, 3], [4, 16, 4], [4, 32, 32, 4]],
                          ids=["last-layer-only", "one-hidden", "two-hidden"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("detach_params", [False, True], ids=["params", "detached"])
+# "detached": the sweep wants only the inputs, so the parameters take no gradient
+@pytest.mark.parametrize("params_wanted", [True, False], ids=["params", "detached"])
 @pytest.mark.parametrize("uses", [1, 3])
-def test_layer_node_matches_the_unfused_chain_byte_for_byte(sizes, dtype, detach_params, uses):
+def test_layer_node_matches_the_unfused_chain_byte_for_byte(sizes, dtype, params_wanted, uses):
     # uses=3 runs the net on one input and twice in a row on another, so every
     # parameter takes three contributions in one sweep, one through a layer
     # node's input gradient
@@ -200,10 +199,11 @@ def test_layer_node_matches_the_unfused_chain_byte_for_byte(sizes, dtype, detach
         for p in net.parameters():
             p.grad = None
         inputs = [Tensor(x) for x in xs]
-        outs = [forward(net, inputs[0], detach_params)]
+        outs = [forward(net, inputs[0])]
         if uses == 3:
-            outs.append(forward(net, forward(net, inputs[1], detach_params), detach_params))
-        backward_multi(list(zip(outs, seeds)))    # every leaf wanted, as in grad_check
+            outs.append(forward(net, forward(net, inputs[1])))
+        # every leaf wanted, as in grad_check, or only the inputs
+        backward_multi(list(zip(outs, seeds)), wanted=None if params_wanted else inputs)
         return ([o.values.tobytes() for o in outs], [grad_bytes(x) for x in inputs],
                 [grad_bytes(p) for p in net.parameters()])
 
@@ -212,10 +212,10 @@ def test_layer_node_matches_the_unfused_chain_byte_for_byte(sizes, dtype, detach
     assert got == want
     values, input_grads, param_grads = got
     assert all(g is not None for g in input_grads[:len(values)])
-    if detach_params:
-        assert param_grads == [None] * len(param_grads)
-    else:
+    if params_wanted:
         assert None not in param_grads
+    else:
+        assert param_grads == [None] * len(param_grads)
 
 
 def test_layer_node_records_one_node_per_layer():
@@ -223,8 +223,7 @@ def test_layer_node_records_one_node_per_layer():
     out = net.forward(np.ones((2, 4), dtype=np.float32))
     interior = [t for t in tape_nodes([out]) if t._backward is not None]
     assert len(interior) == 3
-    detached = net.forward(np.ones((2, 4), dtype=np.float32), detach_params=True)
-    assert len(tape_nodes([detached])) == 4    # the input and three layer nodes
+    assert len(tape_nodes([out])) == 10    # the input, three layer nodes and six parameters
 
 
 class CountingSwapaxes(np.ndarray):
@@ -253,9 +252,10 @@ def test_layer_node_computes_no_input_gradient_behind_stop_gradient(behind_stop_
 
     w0 = net.weights[0]
     w0.values = w0.values.view(CountingSwapaxes)
-    x_in = stop_gradient(x) if behind_stop_gradient else Tensor(x)
+    x_in = Tensor(x)
     loss = mse(net.forward(x_in), target)
     CountingSwapaxes.calls = 0
+    # behind a stop-gradient, the input is a constant the sweep does not want
     wanted = net.parameters() + ([] if behind_stop_gradient else [x_in])
     backward_multi([(loss, np.float32(1.0))], wanted=wanted)
     assert CountingSwapaxes.calls == (0 if behind_stop_gradient else 1)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from splitflow import (Discriminator, FeatureNet, LossWeights,
+from splitflow import (Discriminator, FeatureNet, LossWeights, Mlp,
                        Stage2Config, Stage2Trainer, StudentModel, TeacherModel,
                        Tensor, gan_discriminator_loss, gan_generator_loss,
                        make_rng, reconstruction_loss, regularizer_loss,
                        vsd_gradient)
+from splitflow.autodiff import backward_multi
 from splitflow.refine import WeightSchedule
 
 
@@ -15,7 +16,7 @@ class ConstantScorer:
     def __init__(self, value):
         self.value = value
 
-    def score(self, x, detach_params=False):
+    def score(self, x):
         n = x.values.shape[0]
         ones = Tensor(np.ones((n, 1), dtype=np.float32))
         return (x.sum() * 0.0) + ones * self.value
@@ -185,9 +186,11 @@ def test_discriminator_loss_nonnegative_property():
 
 
 def test_generator_update_leaves_discriminator_grads_empty():
+    # the generator's sweep wants only what leads to the generated batch
     _, _, _, disc = make_models(seed=2)
     fake = Tensor(make_rng(0).standard_normal((8, 2)).astype(np.float32))
-    gan_generator_loss(disc, fake).backward()
+    loss = gan_generator_loss(disc, fake)
+    backward_multi([(loss, np.ones_like(loss.values))], wanted=[fake])
     assert all(p.grad is None for p in disc.parameters())
     assert fake.grad is not None and np.abs(fake.grad).sum() > 0
 
@@ -196,8 +199,9 @@ def test_discriminator_update_leaves_fake_batch_grads_empty():
     _, _, _, disc = make_models(seed=2)
     fake = Tensor(make_rng(1).standard_normal((8, 2)).astype(np.float32))
     real = make_rng(2).standard_normal((8, 2)).astype(np.float32)
-    gan_discriminator_loss(disc, real, fake).backward()
-    assert fake.grad is None or not np.abs(fake.grad).any()
+    # the loss takes the fake batch's values, so a full sweep cannot reach it
+    gan_discriminator_loss(disc, real, fake.values).backward()
+    assert fake.grad is None
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0
                for p in disc.parameters())
 
@@ -228,19 +232,17 @@ def test_reconstruction_zero_when_identical():
 def test_reconstruction_pixel_term_is_mean_square():
     x_hat = Tensor(np.array([[1.0, 3.0]], dtype=np.float32))
     x = np.array([[0.0, 1.0]], dtype=np.float32)
-    # (1 + 4) / 2, under a feature map that sends everything to zero
-    assert float(reconstruction_loss(x_hat, x, lambda v: v * 0.0).values) == 2.5
+    # (1 + 4) / 2, under a feature map that sends everything to zero: an Mlp
+    # built without an rng has zero weights and biases
+    assert float(reconstruction_loss(x_hat, x, Mlp([2, 2])).values) == 2.5
 
 
 def test_reconstruction_with_linear_feature_map():
     # for a linear map F the loss is mean(delta^2) + mean((delta F)^2)
     rng = make_rng(3)
     F = rng.standard_normal((4, 6)).astype(np.float32)
-
-    def linear_net(x):
-        # taped on the generated Tensor, plain numpy on the data array
-        return x @ (Tensor(F) if isinstance(x, Tensor) else F)
-
+    linear_net = Mlp([4, 6])    # one linear layer, zero bias
+    linear_net.weights[0].values = F
     x_hat = rng.standard_normal((5, 4)).astype(np.float32)
     x = rng.standard_normal((5, 4)).astype(np.float32)
     got = float(reconstruction_loss(Tensor(x_hat), x, linear_net).values)
@@ -258,10 +260,13 @@ def test_feature_net_is_deterministic_and_frozen():
     a = FeatureNet(8)
     b = FeatureNet(8)
     x = make_rng(5).standard_normal((3, 8)).astype(np.float32)
-    assert np.array_equal(a(x), b(x))
-    out = a(Tensor(x))
-    out.mean().backward()
-    assert all(p.grad is None for p in a.net.parameters())
+    assert np.array_equal(a.apply(x), b.apply(x))
+    # frozen: a sweep that wants what leads to the input leaves its parameters alone
+    x_in = Tensor(x)
+    loss = a.forward(x_in).mean()
+    backward_multi([(loss, np.ones_like(loss.values))], wanted=[x_in])
+    assert x_in.grad is not None
+    assert all(p.grad is None for p in a.parameters())
 
 
 # ---- full refinement step ---------------------------------------------------------
@@ -287,7 +292,7 @@ class GradCapture:
 
 def run_capture_step(weights, seed=7, probe=None):
     """The student gradients of one trainer step, read by a GradCapture in place
-    of the student's optimizer; `probe(teacher, disc)` runs when it steps."""
+    of the student's optimizer; `probe(trainer)` runs when it steps."""
     teacher, student, regularizer, disc = make_models(seed=1)
     config = Stage2Config(weights=weights, batch_size=8)
     rng = make_rng(seed)
@@ -297,7 +302,7 @@ def run_capture_step(weights, seed=7, probe=None):
                             feature_net=FeatureNet(2))
     trainer.opt_student = cap = GradCapture(
         student.named_parameters(),
-        probe=None if probe is None else lambda: probe(teacher, disc))
+        probe=None if probe is None else lambda: probe(trainer))
     trainer.step(x, cond, rng)
     return cap.captured
 
@@ -318,15 +323,16 @@ def test_stage2_teacher_and_disc_grads_untouched_during_student_substep():
     # read at the student's update: the discriminator's own sub-step comes later
     seen = {}
 
-    def probe(teacher, disc):
-        seen["teacher"] = [p.grad for p in teacher.parameters()]
-        seen["disc"] = [p.grad for p in disc.parameters()]
+    def probe(trainer):
+        for name in ("teacher", "regularizer", "disc", "feature_net"):
+            seen[name] = [p.grad for p in getattr(trainer, name).parameters()]
 
     captured = run_capture_step(LossWeights(), probe=probe)
     assert any(g is not None and np.abs(g).sum() > 0 for g in captured)
-    assert all(g is None for g in seen["teacher"])
-    # the generator hinge term uses detached discriminator weights
-    assert all(g is None for g in seen["disc"])
+    # the student's `descend` sweeps only toward the student's parameters,
+    # though the discriminator and the feature network are on its tape
+    for name, grads in seen.items():
+        assert all(g is None for g in grads), name
 
 
 def test_stage2_zero_weights_leave_student_unchanged():

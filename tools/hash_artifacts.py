@@ -16,7 +16,18 @@ It imports splitflow from the `src/` next to this script. The runs are:
   `generate_dataset` (moons 8192 rows at seed 1001 and 4096 at 2002, patches
   4096 at 100 and 512 at 200). Each line hashes the bytes of `x_h`, `x_l`
   and `labels`, in that order. The patch sets span many row blocks of the
-  patch generator, where the 64-row `sf_patches` run fills only part of one.
+  patch generator, where the 64-row `sf_patches` run fills only part of one;
+- `probe`: paths no pipeline run reaches, on fixed small inputs, in about a
+  second. `probe/criterion2-<loss>` rebuilds the acceptance suite's
+  criterion-2 models and inputs for its first 5 trials, with its seeds and
+  draws, and differentiates each of the six losses once at float32 by a full
+  `Tensor.backward()` sweep, every leaf's gradient cleared first. The line
+  hashes the loss values and the gradients of the leaves criterion 2 checks.
+  `probe/fm_loss-<t>` hashes `fm_loss`'s value and full-sweep teacher
+  gradients with one scalar time and with one time per row, and
+  `probe/ode_sample-<k>` the trajectory of `ode_sample` through `model_field`
+  at 1 and 10 steps; both on 64 rows. Each hashed array adds its dtype and
+  its bytes, and a missing gradient adds `none`.
 
 Each checkpoint gets a second line, `<run>/<artifact>#no-fingerprint`: the
 sha256 of the file with `config_fingerprint` dropped from its JSON header and
@@ -29,8 +40,9 @@ header records the config fingerprint and the fingerprint covers
 `output_dir`. A run directory is removed before its run and after hashing,
 so two copies running at once delete each other's runs: produce the parent
 and the change listings one after the other.
-Output lines are `<run>/<artifact> <sha256>`, and
-`data/<name>-<n>-<seed> <sha256>` for the datasets.
+Output lines are `<run>/<artifact> <sha256>`,
+`data/<name>-<n>-<seed> <sha256>` for the datasets, and
+`probe/<path> <sha256>` for the probes.
 """
 
 import contextlib
@@ -43,11 +55,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splitflow import (ExperimentConfig, dump_config,  # noqa: E402
-                       generate_dataset, run_pipeline)
+from splitflow import (Discriminator, ExperimentConfig,  # noqa: E402
+                       FeatureNet, SamplerConfig, StudentModel, TeacherModel,
+                       Tensor, boundary_loss, dump_config, fm_loss,
+                       gan_discriminator_loss, gan_generator_loss,
+                       generate_dataset, make_rng, model_field, ode_sample,
+                       reconstruction_loss, run_pipeline)
 from splitflow.cli import main as cli_main  # noqa: E402
+from splitflow.distill import _eval_field  # noqa: E402
 from splitflow.pipeline import STAGES  # noqa: E402
 
 CRITERION_9 = dict(
@@ -78,6 +97,10 @@ DATASETS = (("two-moons-conditional", 8192, 1001),
             ("two-moons-conditional", 4096, 2002),
             ("tiny-patches", 4096, 100),
             ("tiny-patches", 512, 200))
+
+PROBE_TRIALS = 5
+PROBE_ROWS = 64
+PROBE_SEED = 4242
 
 
 def sha256(path):
@@ -122,6 +145,89 @@ def hash_datasets():
         yield f"data/{name}-{n}-{seed}", digest.hexdigest()
 
 
+def hash_arrays(arrays):
+    """sha256 over each array's dtype and bytes; `None` hashes as `none`."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        if array is None:
+            digest.update(b"none")
+        else:
+            array = np.asarray(array)
+            digest.update(array.dtype.str.encode() + array.tobytes())
+    return digest.hexdigest()
+
+
+def criterion_2_trial(trial):
+    """Criterion 2's models, inputs and six losses for one trial: a dict of
+    loss name -> (loss function, the leaves it checks), and every leaf."""
+    rng = np.random.default_rng(10_000 + trial)
+    data_rng = make_rng(20_000 + trial)
+    teacher = TeacherModel(2, 1, hidden_sizes=(4,), time_embed_dim=4, rng=rng)
+    student = StudentModel.from_teacher(teacher)
+    x = data_rng.standard_normal((3, 2)).astype(np.float32)
+    eps = data_rng.standard_normal((3, 2)).astype(np.float32)
+    cond = data_rng.standard_normal((3, 1)).astype(np.float32)
+    t = float(data_rng.uniform(0.05, 0.95))
+    r, s = sorted(data_rng.uniform(0.0, t, size=2))
+    lam = (t - s) / (t - r) if t > r else 0.0
+    z_t = ((1.0 - t) * x + t * eps).astype(np.float32)
+    u2 = _eval_field(student, z_t, s, t, cond)
+    u1 = _eval_field(student, z_t - (t - s) * u2, r, s, cond)
+    target = (1.0 - lam) * u1 + lam * u2
+
+    def frozen_isc():
+        pred = student.average_velocity(Tensor(z_t), r, t, cond)
+        return (pred - Tensor(target.astype(pred.values.dtype))).square().mean()
+
+    fnet = FeatureNet(2, feature_dim=4)
+    x_hat = Tensor(data_rng.standard_normal((3, 2)).astype(np.float32))
+    disc = Discriminator(2, hidden=4, rng=rng)
+    fake = Tensor(data_rng.standard_normal((3, 2)).astype(np.float32))
+    losses = {
+        "fm": (lambda: fm_loss(teacher, x, eps, t, cond), teacher.parameters()),
+        "isc": (frozen_isc, student.parameters()),
+        "boundary": (lambda: boundary_loss(student, teacher, z_t, t, cond),
+                     student.parameters()),
+        "rec": (lambda: reconstruction_loss(x_hat, x, fnet), [x_hat]),
+        "gan_g": (lambda: gan_generator_loss(disc, fake), [fake]),
+        "gan_d": (lambda: gan_discriminator_loss(disc, x, fake.values), disc.parameters()),
+    }
+    leaves = [*teacher.parameters(), *student.parameters(), *disc.parameters(), x_hat, fake]
+    return losses, leaves
+
+
+def hash_probes():
+    """The `probe/*` lines: criterion 2's losses under a full sweep, then
+    `fm_loss` and `ode_sample` on `PROBE_ROWS` rows."""
+    arrays = {}
+    for trial in range(PROBE_TRIALS):
+        losses, leaves = criterion_2_trial(trial)
+        for name, (loss_fn, checked) in losses.items():
+            for p in leaves:
+                p.grad = None
+            loss = loss_fn()
+            loss.backward()
+            arrays.setdefault(name, []).extend([loss.values, *(p.grad for p in checked)])
+    for name, listed in arrays.items():
+        yield f"probe/criterion2-{name}", hash_arrays(listed)
+
+    rng = make_rng(PROBE_SEED)
+    teacher = TeacherModel(2, 1, hidden_sizes=(16, 16), time_embed_dim=8, rng=rng)
+    x, eps = (rng.standard_normal((PROBE_ROWS, 2)).astype(np.float32) for _ in range(2))
+    cond = rng.standard_normal((PROBE_ROWS, 1)).astype(np.float32)
+    for name, t in (("scalar-t", float(rng.random())), ("row-t", rng.random(PROBE_ROWS))):
+        for p in teacher.parameters():
+            p.grad = None
+        loss = fm_loss(teacher, x, eps, t, cond)
+        loss.backward()
+        yield f"probe/fm_loss-{name}", hash_arrays(
+            [loss.values, *(p.grad for p in teacher.parameters())])
+    for steps in (1, 10):
+        _, trajectory = ode_sample(model_field(teacher, cond), eps,
+                                   SamplerConfig(num_steps=steps))
+        yield f"probe/ode_sample-{steps}", hash_arrays(trajectory)
+
+
 def main():
     lines = []
     try:
@@ -139,6 +245,7 @@ def main():
             lines.extend(f"{name} {digest}" for name, digest
                          in hash_samples(RUNS[SAMPLE_FROM], scratch))
             lines.extend(f"{name} {digest}" for name, digest in hash_datasets())
+            lines.extend(f"{name} {digest}" for name, digest in hash_probes())
     finally:
         for config in RUNS.values():
             shutil.rmtree(config.output_dir, ignore_errors=True)
