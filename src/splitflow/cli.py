@@ -90,7 +90,9 @@ def cmd_stage(args, stages):
     if args.dry_run:
         print(f"config ok (fingerprint {config.fingerprint()}); stages: {stages}")
         return 0
-    paths = run_pipeline(config, stages, force=args.force)
+    # a diverging stage raises at a finiteness check; numpy's warnings would precede that line
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        paths = run_pipeline(config, stages, force=args.force)
     for p in paths:
         print(p)
     return 0
@@ -107,18 +109,16 @@ def cmd_sample(args):
         return 0
     student, meta = load_checkpoint(ckpt)
     if meta["kind"] != "student":
-        print(f"{ckpt} is a {meta['kind']} checkpoint, not a student one", file=sys.stderr)
-        return 2
+        raise PipelineError(f"{ckpt} is a {meta['kind']} checkpoint, not a student one")
     # The eval set is rebuilt on every request: its seed follows `--seed`, and
     # a serving client sends a fresh seed with each request, so a memo would
     # never hit; Philox normal draws consume a variable number of outputs, so
     # the requested rows cannot be drawn without the rows before them.
     x_ref, cond_ref = _eval_data(config)
     if (student.state_dim, student.cond_dim) != (x_ref.shape[1], cond_ref.shape[1]):
-        print(f"{ckpt}: the student takes state_dim {student.state_dim} and cond_dim "
-              f"{student.cond_dim}, but {config.dataset_name} has state_dim "
-              f"{x_ref.shape[1]} and cond_dim {cond_ref.shape[1]}", file=sys.stderr)
-        return 2
+        raise PipelineError(f"{ckpt}: the student takes state_dim {student.state_dim} and "
+                            f"cond_dim {student.cond_dim}, but {config.dataset_name} has "
+                            f"state_dim {x_ref.shape[1]} and cond_dim {cond_ref.shape[1]}")
     rng = make_rng(config.seed)
     idx = rng.integers(0, cond_ref.shape[0], size=args.num)
     cond = cond_ref[idx]

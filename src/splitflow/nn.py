@@ -138,7 +138,7 @@ class AdamW:
     directly, never through the moment estimates. `named_params` is a list
     of (name, Tensor) pairs."""
 
-    def __init__(self, named_params, learning_rate=5e-5, weight_decay=0.0):
+    def __init__(self, named_params, learning_rate, weight_decay=0.0):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
         self.learning_rate = learning_rate

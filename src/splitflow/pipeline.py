@@ -4,12 +4,12 @@ checkpoint persistence, CSV reports, and optional SVG loss plots."""
 import functools
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .config import stage_seed
+from .config import ExperimentConfig, stage_seed
 from .data import PATCH_SIZE, generate_dataset, DegradationParams, make_rng
 from .distill import Stage1Config, one_step_sample, train_student
 from .flow import TeacherTrainConfig, train_teacher
@@ -94,17 +94,27 @@ def _eval_data(config):
     return ds.flat_x(), ds.cond_array()
 
 
+def _stage_config(cls, config, prefixes, **given):
+    """`cls` built from `config` by the naming rule: each field not in `given`
+    takes the value of the first config key `<prefix><field>` over
+    `prefixes`, a `learning_rate` field being spelled `lr` in keys."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    for f in fields(cls):
+        if f.name not in given:
+            name = "lr" if f.name == "learning_rate" else f.name
+            key = next((prefix + name for prefix in prefixes if prefix + name in keys), None)
+            if key is None:
+                raise TypeError(f"{cls.__name__}.{f.name} matches no config key "
+                                f"with a prefix in {prefixes}")
+            given[f.name] = getattr(config, key)
+    return cls(**given)
+
+
 def _run_teacher(config, train_data):
     x, cond = train_data()
-    tc = TeacherTrainConfig(
-        iterations=config.teacher_iterations,
-        batch_size=config.teacher_batch_size,
-        learning_rate=config.teacher_lr,
-        weight_decay=config.teacher_weight_decay,
-        condition_dropout=config.teacher_condition_dropout,
-        hidden_sizes=tuple([config.model_hidden] * config.model_layers),
-        time_embed_dim=config.model_time_embed_dim,
-        seed=stage_seed(config.seed, "teacher"))
+    tc = _stage_config(TeacherTrainConfig, config, ("teacher_", "model_"),
+                       hidden_sizes=(config.model_hidden,) * config.model_layers,
+                       seed=stage_seed(config.seed, "teacher"))
     teacher, records = train_teacher(x, cond, tc)
     return {"teacher.ckpt": (teacher, {"iteration": tc.iterations}),
             "losses_teacher.csv": (records, ["iteration", "loss"])}
@@ -112,15 +122,8 @@ def _run_teacher(config, train_data):
 
 def _run_distill(config, train_data, teacher):
     x, cond = train_data()
-    sc = Stage1Config(
-        branch_probability=config.stage1_branch_probability,
-        guidance_scale=config.stage1_guidance_scale,
-        iterations=config.stage1_iterations,
-        batch_size=config.stage1_batch_size,
-        learning_rate=config.stage1_lr,
-        full_interval_probability=config.stage1_full_interval_probability,
-        condition_dropout=config.stage1_condition_dropout,
-        seed=stage_seed(config.seed, "distill"))
+    sc = _stage_config(Stage1Config, config, ("stage1_",),
+                       seed=stage_seed(config.seed, "distill"))
     student, records = train_student(teacher, x, cond, sc)
     return {"student_stage1.ckpt": (student, {"iteration": sc.iterations}),
             "losses_stage1.csv": (records, ["iteration", "loss", "branch"])}
@@ -133,19 +136,10 @@ def _run_refine(config, train_data, teacher, student):
         state_dim, rng=make_rng(stage_seed(config.seed, "discriminator")),
         pool_from=PATCH_SIZE if config.dataset_name == "tiny-patches" else None)
     regularizer = teacher.copy()
-    s2 = Stage2Config(
-        weights=LossWeights(config.stage2_lambda1, config.stage2_lambda2,
-                            config.stage2_lambda3, config.stage2_lambda4),
-        iterations=config.stage2_iterations,
-        batch_size=config.stage2_batch_size,
-        learning_rate=config.stage2_lr,
-        regularizer_lr=config.stage2_regularizer_lr,
-        discriminator_lr=config.stage2_discriminator_lr,
-        branch_probability=config.stage1_branch_probability,
-        full_interval_probability=config.stage1_full_interval_probability,
-        vsd_t_min=config.stage2_vsd_t_min,
-        vsd_t_max=config.stage2_vsd_t_max,
-        seed=stage_seed(config.seed, "refine"))
+    # refine keeps training the splitting objective with stage 1's branch keys
+    s2 = _stage_config(Stage2Config, config, ("stage2_", "stage1_"),
+                       weights=_stage_config(LossWeights, config, ("stage2_",)),
+                       seed=stage_seed(config.seed, "refine"))
     trainer = Stage2Trainer(student, teacher, regularizer, disc, s2,
                             feature_net=FeatureNet(state_dim))
     records = trainer.train(x, cond)

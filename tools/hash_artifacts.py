@@ -26,8 +26,14 @@ It imports splitflow from the `src/` next to this script. The runs are:
   `probe/fm_loss-<t>` hashes `fm_loss`'s value and full-sweep teacher
   gradients with one scalar time and with one time per row, and
   `probe/ode_sample-<k>` the trajectory of `ode_sample` through `model_field`
-  at 1 and 10 steps; both on 64 rows. Each hashed array adds its dtype and
-  its bytes, and a missing gradient adds `none`.
+  at 1 and 10 steps; both on 64 rows. `probe/time_embedding-<t>` hashes
+  the 16-wide embedding of one scalar time and of 64 row times;
+  `probe/isc_residual_scan` the worst residuals of a constant, an exact
+  average and a wrong field over 200 intervals each; `probe/gradient_magnitudes`
+  the magnitudes of 8 uniform patches; `probe/seed_diversity` the mean
+  distance and distance matrix of 4 seeds' 64-row samples from a random
+  student under one condition. Each hashed array adds its dtype and its
+  bytes, and a missing gradient adds `none`.
 
 Each checkpoint gets a second line, `<run>/<artifact>#no-fingerprint`: the
 sha256 of the file with `config_fingerprint` dropped from its JSON header and
@@ -63,10 +69,13 @@ from splitflow import (Discriminator, ExperimentConfig,  # noqa: E402
                        FeatureNet, SamplerConfig, StudentModel, TeacherModel,
                        Tensor, boundary_loss, dump_config, fm_loss,
                        gan_discriminator_loss, gan_generator_loss,
-                       generate_dataset, make_rng, model_field, ode_sample,
-                       reconstruction_loss, run_pipeline)
+                       generate_dataset, gradient_magnitudes, isc_residual_scan,
+                       make_rng, model_field, ode_sample, reconstruction_loss,
+                       run_pipeline, seed_diversity)
 from splitflow.cli import main as cli_main  # noqa: E402
+from splitflow.data import PATCH_SIZE  # noqa: E402
 from splitflow.distill import _eval_field  # noqa: E402
+from splitflow.flow import time_embedding  # noqa: E402
 from splitflow.pipeline import STAGES  # noqa: E402
 
 CRITERION_9 = dict(
@@ -198,7 +207,8 @@ def criterion_2_trial(trial):
 
 def hash_probes():
     """The `probe/*` lines: criterion 2's losses under a full sweep, then
-    `fm_loss` and `ode_sample` on `PROBE_ROWS` rows."""
+    `fm_loss`, `ode_sample`, `time_embedding`, `isc_residual_scan`,
+    `gradient_magnitudes` and `seed_diversity` on small fixed inputs."""
     arrays = {}
     for trial in range(PROBE_TRIALS):
         losses, leaves = criterion_2_trial(trial)
@@ -226,6 +236,22 @@ def hash_probes():
         _, trajectory = ode_sample(model_field(teacher, cond), eps,
                                    SamplerConfig(num_steps=steps))
         yield f"probe/ode_sample-{steps}", hash_arrays(trajectory)
+
+    rng = make_rng(PROBE_SEED + 1)
+    for name, t in (("scalar-t", float(rng.random())), ("row-t", rng.random(PROBE_ROWS))):
+        yield f"probe/time_embedding-{name}", hash_arrays([time_embedding(t, 16)])
+    scan_fields = (lambda z, r, t: np.full_like(z, 1.7),
+                   lambda z, r, t: np.full_like(z, t + r),
+                   lambda z, r, t: np.sin(3.0 * z) * t * t)
+    yield "probe/isc_residual_scan", hash_arrays(
+        [np.array([isc_residual_scan(field, 200, rng) for field in scan_fields])])
+    patches = rng.random((8, PATCH_SIZE * PATCH_SIZE)).astype(np.float32)
+    yield "probe/gradient_magnitudes", hash_arrays([gradient_magnitudes(patches)])
+    student = StudentModel(2, 1, hidden_sizes=(16, 16), time_embed_dim=8, rng=rng)
+    cond = np.full((PROBE_ROWS, 1), 0.5, dtype=np.float32)
+    mean, matrix = seed_diversity(student, cond, seeds=[1, 2, 3, 4],
+                                  sample_shape=(PROBE_ROWS, 2))
+    yield "probe/seed_diversity", hash_arrays([np.float64(mean), matrix])
 
 
 def main():
