@@ -14,8 +14,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import KEY_LIMIT, make_rng
 from .distill import (isc_residual, multi_step_sample, isc_residual_scan,
                       Interval)
-from .pipeline import (STAGE_TABLE, STAGES, PipelineError, _eval_data, _input_path, emit_report,
-                       run_pipeline)
+from .pipeline import (STAGE_TABLE, STAGES, PipelineError, _dataset_arrays, _dataset_args,
+                       _input_path, emit_report, run_pipeline)
 
 STAGE_FOR_COMMAND = {
     **{"train-teacher" if stage == "teacher" else stage: [stage] for stage in STAGES},
@@ -114,7 +114,7 @@ def cmd_sample(args):
     # a serving client sends a fresh seed with each request, so a memo would
     # never hit; Philox normal draws consume a variable number of outputs, so
     # the requested rows cannot be drawn without the rows before them.
-    x_ref, cond_ref = _eval_data(config)
+    x_ref, cond_ref = _dataset_arrays(*_dataset_args(config, "eval-dataset"))
     if (student.state_dim, student.cond_dim) != (x_ref.shape[1], cond_ref.shape[1]):
         raise PipelineError(f"{ckpt}: the student takes state_dim {student.state_dim} and "
                             f"cond_dim {student.cond_dim}, but {config.dataset_name} has "

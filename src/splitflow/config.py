@@ -73,17 +73,6 @@ class ExperimentConfig:
         text = dump_config(self)[:-1]
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
-    def as_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                v = "none"
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            out[f.name] = v
-        return out
-
 
 # The closed key set: one value parser per field, chosen by its annotation.
 _PARSERS = {f.name: {int: int, float: float, str: str, bool: _bool,
@@ -154,12 +143,20 @@ def parse_config(text, path="<string>"):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    return parse_config(text, path=str(path))
 
 
 def dump_config(config):
-    return "\n".join(f"{k} = {v}" for k, v in sorted(config.as_dict().items())) + "\n"
+    """One `key = value` line per key, in key order, as `parse_config` reads it."""
+    def text(v):
+        return "none" if v is None else str(v).lower() if isinstance(v, bool) else v
+    return "".join(f"{key} = {text(getattr(config, key))}\n" for key in sorted(_PARSERS))
 
 
 def stage_seed(master_seed, stage_name):

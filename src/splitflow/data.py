@@ -28,7 +28,7 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradationParams:
     downsample_factor: int = 2
     noise_std: float = 0.0
@@ -53,12 +53,6 @@ class ToyDataset:
 
     def flat_x(self):
         return self.x_h.reshape(self.x_h.shape[0], -1).astype(np.float32, copy=False)
-
-
-def _check_factor(shape, f):
-    if shape[-1] % f != 0 or shape[-2] % f != 0:
-        raise ValueError(
-            f"patch sides {shape[-2:]} not divisible by downsample factor {f}")
 
 
 def _block_mean(x, f, out=None):
@@ -87,16 +81,6 @@ def _observe(means, noise_std, rng, out):
     if noise_std > 0:
         means += rng.normal(0.0, noise_std, size=means.shape)
     out[...] = np.clip(means, 0.0, 1.0, out=means)
-    return out
-
-
-def degrade(x_h, params, rng):
-    """Block-average downsample, add Gaussian noise, clamp to [0,1]."""
-    x = np.asarray(x_h, dtype=np.float64)
-    f = params.downsample_factor
-    _check_factor(x.shape, f)
-    means = _block_mean(x, f)
-    return _observe(means, params.noise_std, rng, np.empty(means.shape, np.float32))
 
 
 def _two_moons(n, rng):
@@ -233,7 +217,9 @@ def generate_dataset(name, n, seed, degradation=None):
         if degradation is None:
             degradation = DegradationParams(downsample_factor=2, noise_std=0.02)
         f = degradation.downsample_factor
-        _check_factor((PATCH_SIZE, PATCH_SIZE), f)
+        if PATCH_SIZE % f:
+            raise ValueError(f"patch sides {(PATCH_SIZE,) * 2} not divisible by "
+                             f"downsample factor {f}")
         x_h, means, labels = _procedural_patches(n, rng, f)
         # the noise is drawn after every patch, block by block: chunked
         # `normal` calls continue one stream, as one call over all rows would

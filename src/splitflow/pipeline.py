@@ -68,30 +68,26 @@ def emit_svg_plot(records, x_key, y_key, path):
         fh.write(svg)
 
 
-def _dataset_for(config, name, size):
-    """The `size`-row dataset keyed by the stage seed of `name`, shifted by
+def _dataset_args(config, key="dataset"):
+    """`generate_dataset`'s arguments for the training set, or for the eval set
+    with `key="eval-dataset"`; the seed is the stage seed of `key`, shifted by
     `dataset_seed_offset`."""
-    seed = stage_seed(config.seed, name) + config.dataset_seed_offset
+    rows = config.eval_sample_count if key == "eval-dataset" else config.dataset_size
     degradation = None
     if config.dataset_name == "tiny-patches":
-        degradation = DegradationParams(downsample_factor=config.degrade_factor,
-                                        noise_std=config.degrade_noise_std)
-    return generate_dataset(config.dataset_name, size, seed, degradation=degradation)
+        degradation = DegradationParams(config.degrade_factor, config.degrade_noise_std)
+    seed = stage_seed(config.seed, key) + config.dataset_seed_offset
+    return config.dataset_name, rows, seed, degradation
 
 
-def _train_data(config):
-    """The training set `(x, cond)`, read-only: the stages of one
-    `run_pipeline` call share it, so an in-place write must not leak."""
-    ds = _dataset_for(config, "dataset", config.dataset_size)
+def _dataset_arrays(name, rows, seed, degradation):
+    """`(x, cond)` of one dataset, read-only: the stages of one `run_pipeline`
+    call share it, so an in-place write must not leak."""
+    ds = generate_dataset(name, rows, seed, degradation=degradation)
     x, cond = ds.flat_x(), ds.cond_array()
     x.flags.writeable = False
     cond.flags.writeable = False
     return x, cond
-
-
-def _eval_data(config):
-    ds = _dataset_for(config, "eval-dataset", config.eval_sample_count)
-    return ds.flat_x(), ds.cond_array()
 
 
 def _stage_config(cls, config, prefixes, **given):
@@ -110,50 +106,62 @@ def _stage_config(cls, config, prefixes, **given):
     return cls(**given)
 
 
-def _run_teacher(config, train_data):
-    x, cond = train_data()
+def _plan_teacher(config):
     tc = _stage_config(TeacherTrainConfig, config, ("teacher_", "model_"),
                        hidden_sizes=(config.model_hidden,) * config.model_layers,
                        seed=stage_seed(config.seed, "teacher"))
+    return _dataset_args(config), tc
+
+
+def _run_teacher(tc, x, cond):
     teacher, records = train_teacher(x, cond, tc)
-    return {"teacher.ckpt": (teacher, {"iteration": tc.iterations}),
-            "losses_teacher.csv": (records, ["iteration", "loss"])}
+    return (teacher, {"iteration": tc.iterations}), (records, ["iteration", "loss"])
 
 
-def _run_distill(config, train_data, teacher):
-    x, cond = train_data()
-    sc = _stage_config(Stage1Config, config, ("stage1_",),
-                       seed=stage_seed(config.seed, "distill"))
+def _plan_distill(config):
+    return _dataset_args(config), _stage_config(
+        Stage1Config, config, ("stage1_",), seed=stage_seed(config.seed, "distill"))
+
+
+def _run_distill(sc, x, cond, teacher):
     student, records = train_student(teacher, x, cond, sc)
-    return {"student_stage1.ckpt": (student, {"iteration": sc.iterations}),
-            "losses_stage1.csv": (records, ["iteration", "loss", "branch"])}
+    return (student, {"iteration": sc.iterations}), (records, ["iteration", "loss", "branch"])
 
 
-def _run_refine(config, train_data, teacher, student):
-    x, cond = train_data()
-    state_dim = x.shape[1]
-    disc = Discriminator(
-        state_dim, rng=make_rng(stage_seed(config.seed, "discriminator")),
-        pool_from=PATCH_SIZE if config.dataset_name == "tiny-patches" else None)
-    regularizer = teacher.copy()
+def _plan_refine(config):
     # refine keeps training the splitting objective with stage 1's branch keys
     s2 = _stage_config(Stage2Config, config, ("stage2_", "stage1_"),
                        weights=_stage_config(LossWeights, config, ("stage2_",)),
                        seed=stage_seed(config.seed, "refine"))
+    pool_from = PATCH_SIZE if config.dataset_name == "tiny-patches" else None
+    return _dataset_args(config), (s2, stage_seed(config.seed, "discriminator"), pool_from)
+
+
+def _run_refine(values, x, cond, teacher, student):
+    s2, discriminator_seed, pool_from = values
+    state_dim = x.shape[1]
+    disc = Discriminator(state_dim, rng=make_rng(discriminator_seed), pool_from=pool_from)
+    regularizer = teacher.copy()
     trainer = Stage2Trainer(student, teacher, regularizer, disc, s2,
                             feature_net=FeatureNet(state_dim))
     records = trainer.train(x, cond)
-    return {"student_stage2.ckpt": (student, {"iteration": s2.iterations}),
-            "regularizer.ckpt": (regularizer, {"role": "regularizer"}),
-            "discriminator.ckpt": (disc, {}),
-            "losses_stage2.csv": (records, ["iteration", "isc", "rec", "adv_g",
-                                            "vsd_grad_norm", "reg_diff", "adv_d"])}
+    return ((student, {"iteration": s2.iterations}), (regularizer, {"role": "regularizer"}),
+            (disc, {}), (records, ["iteration", "isc", "rec", "adv_g", "vsd_grad_norm",
+                                   "reg_diff", "adv_d"]))
 
 
-def _run_eval(config, train_data, student):
-    report = evaluate_student(student, config)
-    return {"metrics.csv": (report.rows(), ["metric", "seed", "value"]),
-            "metrics_summary.csv": (report.summary_rows(), ["metric", "mean", "std"])}
+def _plan_eval(config):
+    projections = None if config.dataset_name == "tiny-patches" else (
+        config.eval_n_projections, stage_seed(config.seed, "projections"))
+    return _dataset_args(config, "eval-dataset"), dict(
+        sample_seed=stage_seed(config.seed, "eval"), n_seeds=config.eval_n_seeds,
+        projections=projections)
+
+
+def _run_eval(values, x, cond, student):
+    report = evaluate_student(student, x, cond, **values)
+    return ((report.rows(), ["metric", "seed", "value"]),
+            (report.summary_rows(), ["metric", "mean", "std"]))
 
 
 @dataclass(frozen=True)
@@ -161,13 +169,14 @@ class Stage:
     """One pipeline stage.
 
     `needs` holds one tuple per input checkpoint: the candidate file names,
-    the first one present being loaded. `run(config, train_data, *inputs)`
-    returns, for each name in `outputs`, a `(model, header)` pair for a
-    checkpoint or a `(records, columns)` pair for a CSV. `train_data()`
-    returns the training set `(x, cond)`: it is built at the first call, and
-    every stage of one `run_pipeline` call gets the same read-only arrays.
-    `plot` is the loss column drawn to an SVG next to the stage's CSV when
-    `emit_svg` is set.
+    the first one present being loaded. `plan(config)` is pure: it reads
+    config values and nothing else, and returns `(dataset, values)`: the
+    dataset as `generate_dataset`'s arguments, and everything else the stage
+    runs with. `run(values, x, cond, *inputs)` never sees the config: it
+    trains on the dataset's read-only arrays and returns one pair per name in
+    `outputs`, in that order: `(model, header)` for a checkpoint or
+    `(records, columns)` for a CSV. `plot` is the loss column drawn to an SVG
+    next to the stage's CSV when `emit_svg` is set.
 
     The `run` functions look the training functions up as module globals at
     call time, so a caller that rebinds them (a tracer, a test) sees them.
@@ -175,27 +184,31 @@ class Stage:
     name: str
     needs: tuple
     outputs: tuple
+    plan: Callable
     run: Callable
     plot: str | None = None
 
 
 STAGE_TABLE = (
     Stage("teacher", (), ("teacher.ckpt", "losses_teacher.csv"),
-          _run_teacher, plot="loss"),
+          _plan_teacher, _run_teacher, plot="loss"),
     Stage("distill", (("teacher.ckpt",),),
           ("student_stage1.ckpt", "losses_stage1.csv"),
-          _run_distill, plot="loss"),
+          _plan_distill, _run_distill, plot="loss"),
     Stage("refine", (("teacher.ckpt",), ("student_stage1.ckpt",)),
           ("student_stage2.ckpt", "regularizer.ckpt", "discriminator.ckpt",
            "losses_stage2.csv"),
-          _run_refine, plot="rec"),
+          _plan_refine, _run_refine, plot="rec"),
     Stage("eval", (("student_stage2.ckpt", "student_stage1.ckpt"),),
-          ("metrics.csv", "metrics_summary.csv"), _run_eval),
+          ("metrics.csv", "metrics_summary.csv"), _plan_eval, _run_eval),
 )
 
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 ARTIFACTS = {stage.name: stage.outputs for stage in STAGE_TABLE}
+
+# the stage that writes each output
+_PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
 
 
 def _input_path(config, candidates):
@@ -204,17 +217,29 @@ def _input_path(config, candidates):
         path = os.path.join(config.output_dir, name)
         if os.path.exists(path):
             return path
-    producer = next(stage.name for stage in STAGE_TABLE if name in stage.outputs)
     raise PipelineError(f"missing input checkpoint {name!r}; "
-                        f"run the {producer!r} stage first")
+                        f"run the {_PRODUCER[name]!r} stage first")
+
+
+def _load_for(stage, path):
+    """The model in checkpoint `path`, which `stage` reads or reuses; a
+    truncated or corrupt file raises a PipelineError naming `stage` and the
+    stage that rebuilds the file."""
+    try:
+        return load_checkpoint(path)[0]
+    except CheckpointFormatError as exc:
+        producer = _PRODUCER[os.path.basename(path)]
+        verb, rerun = ("reuse", "rerun") if producer == stage.name else (
+            "read", f"rerun the {producer!r} stage")
+        raise PipelineError(f"stage {stage.name!r} cannot {verb} {path}: {exc}; "
+                            f"{rerun} with --force to rebuild it") from exc
 
 
 def _write_outputs(config, stage, outputs):
     """Write every output of `stage`; checkpoint headers gain the config
     fingerprint."""
     fingerprint = config.fingerprint()
-    for name in stage.outputs:
-        value, extra = outputs[name]
+    for name, (value, extra) in zip(stage.outputs, outputs, strict=True):
         path = os.path.join(config.output_dir, name)
         if name.endswith(".ckpt"):
             save_checkpoint(value, {**extra, "config_fingerprint": fingerprint}, path)
@@ -224,66 +249,56 @@ def _write_outputs(config, stage, outputs):
             emit_svg_plot(value, "iteration", stage.plot, path[:-len(".csv")] + ".svg")
 
 
-def _check_finished(stage, paths):
-    """A stage whose outputs exist is finished only if its checkpoints load:
-    a truncated or corrupt one raises a PipelineError naming the stage."""
-    for path in paths:
-        if path.endswith(".ckpt"):
-            try:
-                load_checkpoint(path)
-            except CheckpointFormatError as exc:
-                raise PipelineError(f"stage {stage.name!r} cannot reuse {path}: {exc}; "
-                                    f"rerun with --force to rebuild it") from exc
-
-
 def run_pipeline(config, stages, force=False):
     """Execute the requested stages in canonical order; returns artifact paths.
 
     Each stage is skipped when its outputs already exist and its checkpoints
     load (unless `force`); a stage whose input checkpoint is missing raises a
-    PipelineError naming the prior stage that would produce it.
+    PipelineError naming the prior stage that would produce it. Each distinct
+    dataset is built once per call and shared by the stages that train on it.
     """
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise PipelineError(f"unknown stages {sorted(unknown)}")
     os.makedirs(config.output_dir, exist_ok=True)
-    train_data = functools.cache(lambda: _train_data(config))
+    dataset = functools.cache(_dataset_arrays)
     produced = []
     for stage in STAGE_TABLE:
         if stage.name not in stages:
             continue
         paths = [os.path.join(config.output_dir, name) for name in stage.outputs]
         if force or not all(os.path.exists(path) for path in paths):
-            inputs = [load_checkpoint(_input_path(config, candidates))[0]
+            inputs = [_load_for(stage, _input_path(config, candidates))
                       for candidates in stage.needs]
-            _write_outputs(config, stage, stage.run(config, train_data, *inputs))
+            data_args, values = stage.plan(config)
+            _write_outputs(config, stage, stage.run(values, *dataset(*data_args), *inputs))
         else:
-            _check_finished(stage, paths)
+            for path in paths:
+                if path.endswith(".ckpt"):
+                    _load_for(stage, path)
         produced.extend(paths)
     return produced
 
 
-def evaluate_student(student, config):
-    """Seed-stability report for a trained student on the configured task."""
-    x_ref, cond_ref = _eval_data(config)
-    is_patches = config.dataset_name == "tiny-patches"
-    eval_seed_base = stage_seed(config.seed, "eval")
+def evaluate_student(student, x_ref, cond_ref, sample_seed, n_seeds, projections):
+    """Seed-stability report for a trained student over the eval set: sliced
+    Wasserstein over `projections`, a (count, seed) pair, or else PSNR and
+    feature distance; seed k's noise is keyed by `sample_seed + k`."""
 
     def sample_fn(seed):
-        eps = make_rng(eval_seed_base + seed).standard_normal(x_ref.shape)
+        eps = make_rng(sample_seed + seed).standard_normal(x_ref.shape)
         return one_step_sample(student, eps.astype(np.float32), cond_ref)
 
-    if is_patches:
+    if projections is None:
         feature_net = FeatureNet(x_ref.shape[1])
         metric_fns = {
             "psnr": lambda s, ref: psnr(s, ref),
             "feature_distance": lambda s, ref: feature_distance(feature_net, s, ref),
         }
     else:
+        n_projections, projection_seed = projections
         metric_fns = {
             "sliced_wasserstein": lambda s, ref: sliced_wasserstein(
-                s, ref, n_projections=config.eval_n_projections,
-                rng=make_rng(stage_seed(config.seed, "projections"))),
+                s, ref, n_projections=n_projections, rng=make_rng(projection_seed)),
         }
-    return metric_stability(sample_fn, x_ref, metric_fns,
-                            n_seeds=config.eval_n_seeds)
+    return metric_stability(sample_fn, x_ref, metric_fns, n_seeds=n_seeds)

@@ -123,8 +123,9 @@ def test_parse_accepts_philox_keys_up_to_their_bounds(tmp_path):
     make_rng(config.seed)
     make_rng(2 ** 64 - 1 + config.dataset_seed_offset)
     config = tiny_config(tmp_path, seed=config.seed, dataset_seed_offset=config.dataset_seed_offset)
-    assert pipeline._train_data(config)[0].shape == (64, 2)
-    assert pipeline._eval_data(config)[0].shape == (32, 2)
+    assert pipeline._dataset_arrays(*pipeline._dataset_args(config))[0].shape == (64, 2)
+    eval_set = pipeline._dataset_args(config, "eval-dataset")
+    assert pipeline._dataset_arrays(*eval_set)[0].shape == (32, 2)
 
 
 def test_stage_seed_is_stable_and_stage_dependent():
@@ -277,7 +278,7 @@ def test_stage_commands_in_separate_processes_match_one_pipeline_call(tmp_path):
 
 
 def test_pipeline_training_set_is_read_only(tmp_path):
-    x, cond = pipeline._train_data(tiny_config(tmp_path))
+    x, cond = pipeline._dataset_arrays(*pipeline._dataset_args(tiny_config(tmp_path)))
     with pytest.raises(ValueError, match="read-only"):
         x[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -430,6 +431,13 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     assert err == f"splitflow: error: {path}:1: unknown key 'warp_speed'\n"
 
 
+def test_cli_config_file_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 3\n\xff\n")
+    assert main(["train-teacher", "--config", str(path), "--dry-run"]) == 2
+    assert capsys.readouterr() == ("", f"splitflow: error: {path}: not UTF-8 text at byte 9\n")
+
+
 @pytest.mark.parametrize("key", ["sampler_steps", "sampler_scheme", "sampler_guidance_scale",
                                  "stage2_schedule"])
 def test_cli_rejects_deleted_keys_as_unknown(tmp_path, capsys, key):
@@ -550,6 +558,27 @@ def test_cli_truncated_stage_output_is_not_a_finished_stage(tmp_path, capsys, co
     # the rebuilt stage writes the bytes the first run wrote
     assert ckpt.read_bytes() == whole
     load_checkpoint(str(ckpt))
+
+
+@pytest.mark.parametrize("command, producer, artifact", [
+    ("distill", "teacher", "teacher.ckpt"),
+    ("eval", "distill", "student_stage1.ckpt")])
+def test_cli_corrupt_stage_input_names_the_reader_and_the_stage_to_rerun(
+        tmp_path, capsys, command, producer, artifact):
+    cfg_path, config = write_tiny_config_file(tmp_path)
+    run_pipeline(config, STAGES[:STAGES.index(producer) + 1])
+    ckpt = Path(config.output_dir) / artifact
+    whole = ckpt.read_bytes()
+    ckpt.write_bytes(whole[:20])
+    assert main([command, "--config", cfg_path]) == 2
+    assert capsys.readouterr() == ("", (
+        f"splitflow: error: stage {command!r} cannot read {ckpt}: "
+        f"truncated checkpoint metadata in {ckpt}; "
+        f"rerun the {producer!r} stage with --force to rebuild it\n"))
+    rerun = "train-teacher" if producer == "teacher" else producer
+    assert main([rerun, "--config", cfg_path, "--force"]) == 0
+    assert ckpt.read_bytes() == whole
+    assert main([command, "--config", cfg_path]) == 0
 
 
 def test_cli_sample_truncated_checkpoint_exits_2_with_one_line(tmp_path, capsys):

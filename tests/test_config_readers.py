@@ -17,7 +17,7 @@ import pytest
 from splitflow import (ExperimentConfig, LossWeights, Stage1Config, Stage2Config,
                        TeacherTrainConfig, cli, dump_config, run_pipeline, stage_seed)
 from splitflow import pipeline
-from splitflow.pipeline import STAGES
+from splitflow.pipeline import STAGE_TABLE, STAGES
 
 FIELDS = {f.name for f in fields(ExperimentConfig)}
 
@@ -58,8 +58,7 @@ ONLY_ON = {"tiny-patches": {"degrade_factor", "degrade_noise_std"},
 
 class ReadRecorder:
     """Forwards every attribute to `config`, recording the fields read.
-    Methods run on `config` itself, so `fingerprint()` and `as_dict()` are
-    not recorded."""
+    Methods run on `config` itself, so `fingerprint()` is not recorded."""
 
     def __init__(self, config):
         object.__setattr__(self, "config", config)
@@ -169,25 +168,15 @@ DISTINCT = dict(
     stage2_vsd_t_min=0.03, stage2_vsd_t_max=0.97)
 
 
-def test_each_stage_config_field_holds_its_own_key(tmp_path, monkeypatch):
+def test_each_stage_config_field_holds_its_own_key():
     config = ExperimentConfig(**DISTINCT, dataset_size=32, model_hidden=8, model_layers=1,
-                              seed=5, output_dir=str(tmp_path / "run"))
+                              seed=5)
     assert sorted(DISTINCT) == sorted({key for keys in FIELD_KEYS.values()
                                        for key in keys.values()})
     assert len(set(DISTINCT.values())) == len(DISTINCT)
-    received = {}
-
-    def capture(fn, index):
-        def wrapped(*args, **kwargs):
-            received[type(args[index])] = args[index]
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(pipeline, "train_teacher", capture(pipeline.train_teacher, 2))
-    monkeypatch.setattr(pipeline, "train_student", capture(pipeline.train_student, 3))
-    monkeypatch.setattr(pipeline, "Stage2Trainer", capture(pipeline.Stage2Trainer, 4))
-    run_pipeline(config, ["teacher", "distill", "refine"])
-    received[LossWeights] = received[Stage2Config].weights
+    values = {stage.name: stage.plan(config)[1] for stage in STAGE_TABLE}
+    received = {TeacherTrainConfig: values["teacher"], Stage1Config: values["distill"],
+                Stage2Config: values["refine"][0], LossWeights: values["refine"][0].weights}
     for cls, keys in FIELD_KEYS.items():
         for name, key in keys.items():
             assert (cls.__name__, name, getattr(received[cls], name)) == \
@@ -196,6 +185,29 @@ def test_each_stage_config_field_holds_its_own_key(tmp_path, monkeypatch):
     for cls, stage in ((TeacherTrainConfig, "teacher"), (Stage1Config, "distill"),
                        (Stage2Config, "refine")):
         assert received[cls].seed == stage_seed(5, stage)
+
+
+@pytest.mark.parametrize("stage", STAGE_TABLE, ids=lambda stage: stage.name)
+@pytest.mark.parametrize("dataset_name", list(ONLY_ON))
+def test_each_plan_reads_its_keys_and_builds_and_opens_nothing(tmp_path, monkeypatch,
+                                                                 dataset_name, stage):
+    # a plan reads config values alone: every key its stage reads except
+    # where the stage writes, and no file or dataset
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the {stage.name} plan built a dataset or opened a file")
+
+    monkeypatch.setattr(pipeline, "generate_dataset", refuse)
+    monkeypatch.chdir(tmp_path)
+    config = ExperimentConfig(dataset_name=dataset_name, output_dir="run")
+    recorder = ReadRecorder(config)
+    with monkeypatch.context() as patched:
+        patched.setattr("builtins.open", refuse)
+        plan = stage.plan(recorder)
+    other = next(keys for name, keys in ONLY_ON.items() if name != dataset_name)
+    assert sorted(recorder.reads) == sorted(READS[stage.name] - {"output_dir", "emit_svg"}
+                                            - other)
+    assert list(tmp_path.iterdir()) == []
+    assert plan == stage.plan(config)
 
 
 @pytest.mark.parametrize("cls", list(FIELD_KEYS), ids=lambda cls: cls.__name__)

@@ -7,7 +7,7 @@ import pytest
 
 from splitflow import DegradationParams, generate_dataset, make_rng
 from splitflow import data
-from splitflow.data import DATASET_NAMES, PATCH_SIZE, _two_moons, degrade
+from splitflow.data import DATASET_NAMES, PATCH_SIZE, _two_moons
 
 
 def test_generation_is_bitwise_deterministic():
@@ -49,43 +49,24 @@ def test_observation_is_lossy_projection():
 # ---- degradation ------------------------------------------------------------
 
 def test_block_mean_example():
-    # 2x2 patch [1, 2; 0, -0.5] averaged by factor 2 gives 0.625
-    patch = np.array([[[1.0, 2.0], [0.0, -0.5]]])
-    params = DegradationParams(downsample_factor=2, noise_std=0.0)
-    out = degrade(patch, params, make_rng(0))
-    assert out.shape == (1, 1, 1)
-    assert np.allclose(out, 0.625)
-
-
-def test_degrade_constant_patch_noise_free():
-    patch = np.full((2, 4, 4), 0.3)
-    params = DegradationParams(downsample_factor=2, noise_std=0.0)
-    assert np.allclose(degrade(patch, params, make_rng(1)), 0.3)
+    # without noise each observation pixel is the mean of its f x f block
+    ds = generate_dataset("tiny-patches", 64, 0, DegradationParams(2, 0.0))
+    assert ds.x_l.shape == (64, 8, 8)
+    blocks = ds.x_h.astype(np.float64).reshape(64, 8, 2, 8, 2)
+    assert np.allclose(ds.x_l, blocks.mean(axis=(2, 4)), rtol=0, atol=1e-6)
 
 
 def test_degrade_output_clamped():
-    patch = np.full((1, 4, 4), 0.5)
-    params = DegradationParams(downsample_factor=1, noise_std=50.0)
-    out = degrade(patch, params, make_rng(3))
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_degrade_rejects_indivisible_shape():
-    patch = np.zeros((1, 5, 5))
-    params = DegradationParams(downsample_factor=2, noise_std=0.0)
-    with pytest.raises(ValueError, match="divisible"):
-        degrade(patch, params, make_rng(0))
+    ds = generate_dataset("tiny-patches", 64, 3, DegradationParams(1, 50.0))
+    assert ds.x_l.min() == 0.0 and ds.x_l.max() == 1.0
 
 
 def test_degradation_contracts_information():
-    # two distinct patches that collapse to the same degraded observation
-    a = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    b = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    params = DegradationParams(downsample_factor=2, noise_std=0.0)
-    da = degrade(a, params, make_rng(7))
-    db = degrade(b, params, make_rng(7))
-    assert not np.array_equal(a, b)
-    assert np.array_equal(da, db)
+    # the whole-patch mean of a checker whose x or y frequency is 1, 2 or 4
+    # is 0.5 whatever its phase, so distinct patches share one observation
+    ds = generate_dataset("tiny-patches", 64, 7, DegradationParams(16, 0.0))
+    assert len(np.unique(ds.x_h, axis=0)) == 64
+    assert len(np.unique(ds.x_l, axis=0)) < 64
 
 
 @pytest.mark.parametrize("field, value", [
@@ -98,10 +79,9 @@ def test_degradation_params_reject_what_degrade_cannot_honour(field, value):
 
 
 def test_degradation_params_take_numpy_integers():
-    patch = np.linspace(0.0, 1.0, 32).reshape(2, 4, 4)
-    want = degrade(patch, DegradationParams(2, 0.1), make_rng(5))
-    got = degrade(patch, DegradationParams(np.int64(2), 0.1), make_rng(5))
-    assert got.tobytes() == want.tobytes()
+    want = generate_dataset("tiny-patches", 8, 5, DegradationParams(2, 0.1))
+    got = generate_dataset("tiny-patches", 8, 5, DegradationParams(np.int64(2), 0.1))
+    assert got.x_l.tobytes() == want.x_l.tobytes()
 
 
 # ---- patch generator --------------------------------------------------------
@@ -168,7 +148,7 @@ def test_patch_build_checks_the_factor_before_drawing(monkeypatch):
         generate_dataset("tiny-patches", 4096, 1, DegradationParams(3))
 
 
-# the oracles for `_patch_block` and `degrade`: the block builder with one
+# the oracles for `_patch_block` and the degradation: the block builder with one
 # `uniform` call per parameter and one `normal` call per spectrum plane, each
 # kind computed out of place, and the degradation that adds and clips out of
 # place
@@ -287,10 +267,9 @@ def test_block_mean_is_numpys_mean_byte_for_byte(f):
 @pytest.mark.parametrize("f", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 def test_degrade_matches_its_reference_byte_for_byte(f, noise_std):
-    x = make_rng(5).random((300, PATCH_SIZE, PATCH_SIZE)) * 1.5 - 0.25
     params = DegradationParams(f, noise_std)
-    got = degrade(x, params, make_rng(9))
-    want = reference_degrade(x, params, make_rng(9))
+    got = generate_dataset("tiny-patches", 300, 9, params).x_l
+    want = reference_patch_build(300, 9, params)[1]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

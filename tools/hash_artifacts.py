@@ -32,8 +32,13 @@ It imports splitflow from the `src/` next to this script. The runs are:
   average and a wrong field over 200 intervals each; `probe/gradient_magnitudes`
   the magnitudes of 8 uniform patches; `probe/seed_diversity` the mean
   distance and distance matrix of 4 seeds' 64-row samples from a random
-  student under one condition. Each hashed array adds its dtype and its
-  bytes, and a missing gradient adds `none`.
+  student under one condition. `probe/grad_check-<loss>` runs `grad_check`
+  on each of criterion 2's six losses for its first trial and hashes what
+  the float64 path computes: the loss value and each checked leaf's analytic
+  gradient, taken at the one backward sweep `grad_check` runs, then the
+  worst relative error against its finite-difference oracle, the quantity
+  criterion 2 prints. Each hashed array adds its dtype and its bytes, and a
+  missing gradient adds `none`.
 
 Each checkpoint gets a second line, `<run>/<artifact>#no-fingerprint`: the
 sha256 of the file with `config_fingerprint` dropped from its JSON header and
@@ -69,7 +74,7 @@ from splitflow import (Discriminator, ExperimentConfig,  # noqa: E402
                        FeatureNet, SamplerConfig, StudentModel, TeacherModel,
                        Tensor, boundary_loss, dump_config, fm_loss,
                        gan_discriminator_loss, gan_generator_loss,
-                       generate_dataset, gradient_magnitudes, isc_residual_scan,
+                       generate_dataset, grad_check, gradient_magnitudes, isc_residual_scan,
                        make_rng, model_field, ode_sample, reconstruction_loss,
                        run_pipeline, seed_diversity)
 from splitflow.cli import main as cli_main  # noqa: E402
@@ -205,10 +210,29 @@ def criterion_2_trial(trial):
     return losses, leaves
 
 
+@contextlib.contextmanager
+def recording_backward(leaves, into):
+    """While open, every `Tensor.backward` call appends the value it sweeps
+    from and the gradient each of `leaves` then holds to `into`."""
+    backward = Tensor.backward
+
+    def recorded(self, *args, **kwargs):
+        backward(self, *args, **kwargs)
+        into.extend([np.array(self.values), *(None if p.grad is None else np.array(p.grad)
+                                              for p in leaves)])
+
+    Tensor.backward = recorded
+    try:
+        yield
+    finally:
+        Tensor.backward = backward
+
+
 def hash_probes():
     """The `probe/*` lines: criterion 2's losses under a full sweep, then
     `fm_loss`, `ode_sample`, `time_embedding`, `isc_residual_scan`,
-    `gradient_magnitudes` and `seed_diversity` on small fixed inputs."""
+    `gradient_magnitudes` and `seed_diversity` on small fixed inputs, then
+    criterion 2's float64 `grad_check` path."""
     arrays = {}
     for trial in range(PROBE_TRIALS):
         losses, leaves = criterion_2_trial(trial)
@@ -252,6 +276,13 @@ def hash_probes():
     mean, matrix = seed_diversity(student, cond, seeds=[1, 2, 3, 4],
                                   sample_shape=(PROBE_ROWS, 2))
     yield "probe/seed_diversity", hash_arrays([np.float64(mean), matrix])
+
+    losses, _ = criterion_2_trial(0)
+    for name, (loss_fn, checked) in losses.items():
+        recorded = []
+        with recording_backward(checked, recorded):
+            worst = grad_check(lambda params: loss_fn(), checked)
+        yield f"probe/grad_check-{name}", hash_arrays([*recorded, np.float64(worst)])
 
 
 def main():
